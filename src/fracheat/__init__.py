@@ -40,12 +40,10 @@ from .problems import (
 )
 from .quadrature import (
     WeightRow,
-    forcing_convolution,
-    forcing_convolution_profile,
     midpoint_convolution,
     weights_row,
 )
-from .solver import SchemeKind, SolutionLattice, solve, step_l1, step_transformed
+from .solver import SchemeKind, SolutionLattice, solve
 from .special import MLParams, SeriesConvergenceError, gamma, mittag_leffler
 
 __all__ = [
@@ -78,15 +76,11 @@ __all__ = [
     "sine_decay",
     "zero_problem",
     "WeightRow",
-    "forcing_convolution",
-    "forcing_convolution_profile",
     "midpoint_convolution",
     "weights_row",
     "SchemeKind",
     "SolutionLattice",
     "solve",
-    "step_l1",
-    "step_transformed",
     "MLParams",
     "SeriesConvergenceError",
     "gamma",

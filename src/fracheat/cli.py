@@ -69,8 +69,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh", type=_mesh_kind, default="uniform",
                    help="'uniform' or 'graded:<r>' with r >= 1")
     p.add_argument("--problem", choices=available_problems(), default="manufactured-sin")
-    p.add_argument("--norm", choices=["max", "a", "l2"], default="max",
-                   help="error norm for converge reports")
     p.add_argument("--format", choices=["csv", "table"], default="csv")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write to this file instead of stdout")
@@ -88,6 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="final-time profile or the whole space-time lattice")
     conv_p = sub.add_parser("converge", help="run a refinement ladder and report errors")
     _add_common(conv_p)
+    conv_p.add_argument("--norm", choices=["max", "a", "l2"], default="max",
+                        help="error norm for the report")
     return parser
 
 

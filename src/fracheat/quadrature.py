@@ -29,7 +29,6 @@ __all__ = [
     "WeightRow",
     "weights_row",
     "midpoint_convolution",
-    "forcing_convolution",
     "forcing_convolution_profile",
 ]
 
@@ -97,20 +96,6 @@ def midpoint_convolution(
     return float(w @ (g[1 : n + 1] + g[:n]) / 2.0)
 
 
-def forcing_convolution(
-    f: Callable[[float, float], float],
-    x: float,
-    alpha: float,
-    mesh: TemporalMesh,
-    n: int,
-) -> float:
-    """Fractional integral of s -> f(x, s) at level t_n by the same rule."""
-    if n == 0:
-        return 0.0
-    g = np.array([f(x, t) for t in mesh.t[: n + 1]], dtype=float)
-    return midpoint_convolution(alpha, mesh, g, n)
-
-
 def forcing_convolution_profile(
     f: Callable[[np.ndarray, float], np.ndarray],
     grid: SpatialGrid,
@@ -120,8 +105,8 @@ def forcing_convolution_profile(
 ) -> np.ndarray:
     """Fractional integral of the forcing at every grid node at once.
 
-    Equivalent to calling ``forcing_convolution`` for each node but with a
-    single kernel-weight row and vectorized samples f(x, t_k).
+    Applies ``midpoint_convolution``'s rule at each node, with a single
+    kernel-weight row and vectorized samples f(x, t_k), k = 0..n.
     """
     if n == 0:
         return np.zeros(grid.M + 1)

@@ -1,28 +1,34 @@
 """Time stepping for the fractional diffusion problem.
 
-Two one-step-at-a-time marchers over a shared lattice:
+Both schemes are one linear Volterra march.  With H the compact average
+(v[i-1] + 10 v[i] + v[i+1]) / 12 and D2 the centered second difference,
+level n solves
+
+    (p H - r D2) u^n = rhs^n,    u^n_0 = u^n_M = 0,
+
+by one tridiagonal solve, after one weighted sum over the history:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
-  the problem.  Level n solves
+  the problem with the exact kernel step weights a_1..a_n of level n
+  (a_0 = 0) and endpoint averages of the integrand.  Here (p, r) =
+  (1, a_n/2) and
 
-      (H - (a_n/2) D2) u^n = H phi + H q^n
-          + sum_{k=1}^{n-1} a_k (D2 u^k + D2 u^{k-1}) / 2
-          + (a_n/2) D2 u^{n-1},
+      rhs^n = H phi + H q^n + D2 sum_{j<n} w_j u^j,   w_j = (a_j + a_{j+1})/2,
 
-  with H the compact average, D2 the centered second difference, a_k the
-  exact kernel step weights for level n, and q^n the fractional integral
-  of the forcing at t_n.  Spatial accuracy is fourth order thanks to the
-  compact stencil; the temporal error comes only from averaging the
-  integrand over steps, so no time derivative of the solution is ever
-  formed and graded meshes are supported directly.
+  where q^n is the fractional integral of the forcing at t_n, either in
+  closed form or by the same product quadrature over samples of f taken
+  once per level.  Spatial accuracy is fourth order thanks to the compact
+  stencil; the temporal error comes only from averaging the integrand over
+  steps, so no time derivative of the solution is ever formed and graded
+  meshes are supported directly.
 
-* ``SchemeKind.L1`` is the classical baseline: the Caputo derivative is
-  replaced by the L1 difference quotient on a uniform mesh and the same
-  compact stencil is used in space.
+* ``SchemeKind.L1`` is the classical baseline on a uniform mesh: the
+  Caputo derivative is replaced by the L1 difference quotient, so (p, r) =
+  (lambda, 1) with lambda = 1 / (Gamma(2 - alpha) tau**alpha), and
+  rhs^n = lambda H (L1 history combination) + H f(t_n).
 
-Both schemes produce strictly diagonally dominant tridiagonal systems
-(the transformed scheme keeps a dominance gap of at least 2/3 in every
-interior row), so the pivot-free Thomas solve is safe.
+Every interior row has dominance gap min(p, 8p/12 + 4r/h**2) >= 2p/3 for
+both schemes, so the pivot-free Thomas solve is safe.
 """
 
 from __future__ import annotations
@@ -40,10 +46,10 @@ from .operators import (
     solve_tridiagonal,
 )
 from .problems import ProblemSpec
-from .quadrature import forcing_convolution_profile, weights_row
+from .quadrature import weights_row
 from .special import gamma
 
-__all__ = ["SchemeKind", "SolutionLattice", "step_transformed", "step_l1", "solve"]
+__all__ = ["SchemeKind", "SolutionLattice", "solve"]
 
 
 class SchemeKind(enum.Enum):
@@ -73,24 +79,6 @@ class SolutionLattice:
                 raise ValueError("computed levels must satisfy the boundary pinning")
 
 
-def _check_history(grid: SpatialGrid, mesh: TemporalMesh, history: np.ndarray) -> int:
-    history = np.asarray(history)
-    if history.ndim != 2 or history.shape[1] != grid.M + 1:
-        raise ValueError(f"history must have shape (n, {grid.M + 1})")
-    n = history.shape[0]
-    if not 1 <= n <= mesh.N:
-        raise ValueError(f"history holds levels 0..n-1 with 1 <= n <= {mesh.N}")
-    return n
-
-
-def _forcing_integral(
-    problem: ProblemSpec, grid: SpatialGrid, mesh: TemporalMesh, n: int
-) -> np.ndarray:
-    if problem.exact_f_conv is not None:
-        return np.asarray(problem.exact_f_conv(grid.x, mesh.t[n]), dtype=float)
-    return forcing_convolution_profile(problem.f, grid, problem.alpha, mesh, n)
-
-
 def _dirichlet_tridiagonal(
     off: float, diag_val: float, rhs: np.ndarray
 ) -> TridiagonalSystem:
@@ -107,75 +95,6 @@ def _dirichlet_tridiagonal(
     return TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
 
 
-def step_transformed(
-    problem: ProblemSpec,
-    grid: SpatialGrid,
-    mesh: TemporalMesh,
-    history: np.ndarray,
-) -> np.ndarray:
-    """Advance the transformed scheme one level.
-
-    ``history`` holds the accepted levels 0..n-1 as rows (row 0 is the
-    initial data); the return value is level n.
-    """
-    n = _check_history(grid, mesh, history)
-    h = grid.h
-    a = weights_row(problem.alpha, mesh, n).weights
-    c = 0.5 * a[n - 1]
-
-    d2 = np.zeros_like(history, dtype=float)
-    d2[:, 1:-1] = (history[:, :-2] - 2.0 * history[:, 1:-1] + history[:, 2:]) / (h * h)
-
-    rhs = apply_compact(history[0]) + apply_compact(_forcing_integral(problem, grid, mesh, n))
-    if n > 1:
-        rhs += 0.5 * (a[: n - 1] @ (d2[1:n] + d2[: n - 1]))
-    rhs += c * d2[n - 1]
-
-    q = c / (h * h)
-    off = 1.0 / 12.0 - q
-    diag_val = 10.0 / 12.0 + 2.0 * q
-    # Dominance gap is min(8/12 + 4q, 1), never below 2/3.
-    assert diag_val - 2.0 * abs(off) >= 2.0 / 3.0 - 1e-12
-    system = _dirichlet_tridiagonal(off, diag_val, rhs)
-    return solve_tridiagonal(system)
-
-
-def step_l1(
-    problem: ProblemSpec,
-    grid: SpatialGrid,
-    mesh: TemporalMesh,
-    history: np.ndarray,
-) -> np.ndarray:
-    """Advance the L1 baseline one level (uniform meshes only)."""
-    n = _check_history(grid, mesh, history)
-    steps = mesh.steps
-    if steps.max() - steps.min() > 1e-12 * steps.mean():
-        raise ValueError("the L1 scheme requires a uniform time mesh")
-    tau = mesh.T / mesh.N
-    alpha = problem.alpha
-    mu = 1.0 / (gamma(2.0 - alpha) * tau**alpha)
-    j = np.arange(n, dtype=float)
-    b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
-
-    combo = b[n - 1] * history[0]
-    if n > 1:
-        w = b[n - 2 :: -1] - b[n - 1 : 0 : -1]
-        combo = combo + w @ history[1:n]
-    f_now = np.asarray(problem.f(grid.x, mesh.t[n]), dtype=float)
-    rhs = mu * apply_compact(combo) + apply_compact(f_now)
-
-    off = mu / 12.0 - 1.0 / (grid.h * grid.h)
-    diag_val = 10.0 * mu / 12.0 + 2.0 / (grid.h * grid.h)
-    system = _dirichlet_tridiagonal(off, diag_val, rhs)
-    return solve_tridiagonal(system)
-
-
-_STEPPERS = {
-    SchemeKind.TRANSFORMED: step_transformed,
-    SchemeKind.L1: step_l1,
-}
-
-
 def solve(
     problem: ProblemSpec,
     grid: SpatialGrid,
@@ -184,13 +103,58 @@ def solve(
 ) -> SolutionLattice:
     """March the chosen scheme over the whole mesh.
 
-    Row 0 of the result is the initial data sampled on the grid; every
-    later row is produced by the scheme's step function on the full
-    history, so stepping manually and calling ``solve`` agree exactly.
+    Row 0 of the result is the initial data sampled on the grid; row n is
+    the solution of the level-n system described in the module docstring.
     """
-    stepper = _STEPPERS[scheme]
-    values = np.empty((mesh.N + 1, grid.M + 1))
-    values[0] = np.asarray(problem.phi(grid.x), dtype=float)
+    alpha, x, h = problem.alpha, grid.x, grid.h
+    u = np.empty((mesh.N + 1, grid.M + 1))
+    u[0] = np.asarray(problem.phi(x), dtype=float)
+    l1 = scheme is SchemeKind.L1
+    f_samples = None
+    if l1:
+        steps = mesh.steps
+        if steps.max() - steps.min() > 1e-12 * steps.mean():
+            raise ValueError("the L1 scheme requires a uniform time mesh")
+        lam = 1.0 / (gamma(2.0 - alpha) * (mesh.T / mesh.N) ** alpha)
+        j = np.arange(mesh.N, dtype=float)
+        b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+    elif problem.exact_f_conv is None:
+        f_samples = np.empty_like(u)
+        f_samples[0] = problem.f(x, mesh.t[0])
+
     for n in range(1, mesh.N + 1):
-        values[n] = stepper(problem, grid, mesh, values[:n])
-    return SolutionLattice(values=values, grid=grid, mesh=mesh)
+        t_n = mesh.t[n]
+        if l1:
+            p, r = lam, 1.0
+            combo = b[n - 1] * u[0]
+            if n > 1:
+                combo = combo + (b[n - 2 :: -1] - b[n - 1 : 0 : -1]) @ u[1:n]
+            forcing = problem.f(x, t_n)
+            history = 0.0
+        else:
+            a = weights_row(alpha, mesh, n).weights
+            p, r = 1.0, 0.5 * a[-1]
+            combo = u[0]
+            if f_samples is None:
+                forcing = problem.exact_f_conv(x, t_n)
+            else:
+                f_samples[n] = problem.f(x, t_n)
+                forcing = a @ (f_samples[1 : n + 1] + f_samples[:n]) / 2.0
+            # a[k - 1] holds a_k; w[j] = (a_j + a_{j+1}) / 2 with a_0 = 0.
+            w = 0.5 * a
+            w[1:] += 0.5 * a[:-1]
+            history = apply_second_diff(w @ u[:n], h)
+        forcing = np.asarray(forcing, dtype=float)
+        rhs = p * apply_compact(combo) + apply_compact(forcing) + history
+
+        # Rows stay unscaled so L1 keeps its reference rounding: dividing by
+        # p avoids the cancellation in p/12 - q at fine h but moves L1
+        # lattices by about 4e-11.
+        q = r / (h * h)
+        off = p / 12.0 - q
+        diag_val = 10.0 * p / 12.0 + 2.0 * q
+        # Dominance gap is min(p, 8p/12 + 4q), never below 2p/3 up to
+        # rounding in diag_val.
+        assert diag_val - 2.0 * abs(off) >= 2.0 / 3.0 * p - 1e-12 * diag_val
+        u[n] = solve_tridiagonal(_dirichlet_tridiagonal(off, diag_val, rhs))
+    return SolutionLattice(values=u, grid=grid, mesh=mesh)

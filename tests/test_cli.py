@@ -122,6 +122,7 @@ class TestUsageErrors:
             ["run", "--alpha", "0.5", "--time-steps", "8", "--spatial-cells", "1"],
             ["converge", "--alpha", "0.5", "--time-steps", "8", "--final-time", "-1"],
             ["missing-subcommand"],
+            ["run", "--alpha", "0.5", "--time-steps", "8", "--norm", "l2"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):

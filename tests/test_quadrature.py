@@ -6,7 +6,6 @@ import pytest
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.problems import manufactured_sin
 from fracheat.quadrature import (
-    forcing_convolution,
     forcing_convolution_profile,
     midpoint_convolution,
     weights_row,
@@ -135,9 +134,8 @@ class TestMidpointConvolution:
 class TestForcingConvolution:
     def test_zero_forcing(self):
         mesh = uniform_time_mesh(1.0, 6)
-        got = forcing_convolution(lambda x, t: 0.0, 0.5, 0.5, mesh, 6)
-        assert got == 0.0
-        assert forcing_convolution(lambda x, t: 1.0, 0.5, 0.5, mesh, 0) == 0.0
+        assert midpoint_convolution(0.5, mesh, np.zeros(mesh.N + 1), 6) == 0.0
+        assert midpoint_convolution(0.5, mesh, np.ones(mesh.N + 1), 0) == 0.0
 
     def test_profile_matches_scalar_calls(self):
         problem = manufactured_sin(0.5)
@@ -145,7 +143,8 @@ class TestForcingConvolution:
         mesh = uniform_time_mesh(1.0, 12)
         prof = forcing_convolution_profile(problem.f, grid, 0.5, mesh, 12)
         for i, x in enumerate(grid.x):
-            scalar = forcing_convolution(problem.f, float(x), 0.5, mesh, 12)
+            g = np.array([problem.f(x, t) for t in mesh.t])
+            scalar = midpoint_convolution(0.5, mesh, g, 12)
             assert prof[i] == pytest.approx(scalar, rel=1e-13, abs=1e-15)
 
     def test_quadrature_close_to_closed_form(self):

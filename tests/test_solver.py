@@ -6,11 +6,55 @@ import pytest
 
 from fracheat.harness import max_lattice_error
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
-from fracheat.operators import apply_compact, apply_second_diff, norm_energy, norm_l2
+from fracheat.operators import norm_energy
 from fracheat.problems import get_problem, manufactured_sin, sine_decay, zero_problem
-from fracheat.quadrature import weights_row
-from fracheat.solver import SchemeKind, SolutionLattice, solve, step_l1, step_transformed
+from fracheat.solver import SchemeKind, SolutionLattice, solve
 from oracles import dense_compact_matrix, dense_second_diff_matrix
+
+
+def _dense_march(problem, M, mesh, scheme):
+    """Both schemes level by level with dense matrices, in uncollapsed form.
+
+    Transformed: (H - (a_n/2) D2) u^n = H phi + H q^n
+        + sum_{k=1}^{n-1} a_k (D2 u^k + D2 u^{k-1}) / 2 + (a_n/2) D2 u^{n-1},
+    with q^n closed form or sum_k a_k (f^k + f^{k-1}) / 2.
+    L1: (mu H - D2) u^n = mu H (u^{n-1} - sum_{k=1}^{n-1} b_{n-k} (u^k - u^{k-1}))
+        + H f^n.
+    Boundary rows are replaced by the identity with zero right-hand side.
+    """
+    alpha, t = problem.alpha, mesh.t
+    x = np.linspace(0.0, 1.0, M + 1)
+    H = dense_compact_matrix(M)
+    D2 = dense_second_diff_matrix(M, 1.0 / M)
+    u = [np.asarray(problem.phi(x), dtype=float)]
+    for n in range(1, mesh.N + 1):
+        if scheme is SchemeKind.TRANSFORMED:
+            a = [0.0] + [
+                ((t[n] - t[k - 1]) ** alpha - (t[n] - t[k]) ** alpha) / math.gamma(1.0 + alpha)
+                for k in range(1, n + 1)
+            ]
+            if problem.exact_f_conv is not None:
+                q = problem.exact_f_conv(x, t[n])
+            else:
+                q = sum(a[k] * (problem.f(x, t[k]) + problem.f(x, t[k - 1])) / 2.0
+                        for k in range(1, n + 1))
+            A = H - 0.5 * a[n] * D2
+            rhs = H @ u[0] + H @ q + 0.5 * a[n] * (D2 @ u[n - 1])
+            for k in range(1, n):
+                rhs += a[k] * (D2 @ u[k] + D2 @ u[k - 1]) / 2.0
+        else:
+            tau = t[1] - t[0]
+            mu = 1.0 / (math.gamma(2.0 - alpha) * tau**alpha)
+            b = [(j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha) for j in range(n)]
+            combo = u[n - 1] - sum(b[n - k] * (u[k] - u[k - 1]) for k in range(1, n))
+            A = mu * H - D2
+            rhs = mu * (H @ combo) + H @ problem.f(x, t[n])
+        for row in (0, M):
+            A[row] = 0.0
+            A[row, row] = 1.0
+            rhs[row] = 0.0
+        u.append(np.linalg.solve(A, rhs))
+    return np.array(u)
 
 
 class TestBothSchemes:
@@ -43,41 +87,24 @@ class TestBothSchemes:
         b = solve(p, grid, mesh, scheme)
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("scheme", list(SchemeKind))
-    def test_stepping_matches_solve(self, scheme):
-        p = manufactured_sin(0.5)
-        grid, mesh = SpatialGrid(16), uniform_time_mesh(1.0, 8)
-        stepper = step_transformed if scheme is SchemeKind.TRANSFORMED else step_l1
-        lattice = solve(p, grid, mesh, scheme)
-        history = np.asarray(p.phi(grid.x), dtype=float)[None, :]
-        for _ in range(mesh.N):
-            history = np.vstack([history, stepper(p, grid, mesh, history)])
-        assert np.array_equal(history, lattice.values)
-
+    @pytest.mark.parametrize(
+        "scheme, alpha, grading, closed_form",
+        [
+            (SchemeKind.TRANSFORMED, 0.5, 1.0, True),
+            (SchemeKind.TRANSFORMED, 0.3, 2.0, True),
+            (SchemeKind.TRANSFORMED, 0.7, 2.0, False),
+            (SchemeKind.L1, 0.5, 1.0, True),
+        ],
+    )
+    def test_march_matches_dense_oracle(self, scheme, alpha, grading, closed_form):
+        p = manufactured_sin(alpha)
+        if not closed_form:
+            p = dataclasses.replace(p, exact_f_conv=None)
+        M, mesh = 8, graded_time_mesh(1.0, 6, grading)
+        got = solve(p, SpatialGrid(M), mesh, scheme).values
+        np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
 
 class TestTransformedScheme:
-    def test_single_step_against_dense_assembly(self):
-        # Rebuild level 1 with dense matrices: (H - c D2) u = H phi + H q
-        # + c D2 u^0, boundary rows replaced by the identity.
-        alpha, M = 0.5, 4
-        p = manufactured_sin(alpha)
-        grid = SpatialGrid(M)
-        mesh = uniform_time_mesh(1.0, 2)
-        u0 = np.asarray(p.phi(grid.x), dtype=float)
-        got = step_transformed(p, grid, mesh, u0[None, :])
-
-        a = weights_row(alpha, mesh, 1).weights
-        c = 0.5 * a[0]
-        H = dense_compact_matrix(M)
-        D2 = dense_second_diff_matrix(M, grid.h)
-        A = H - c * D2
-        rhs = H @ u0 + H @ p.exact_f_conv(grid.x, mesh.t[1]) + c * (D2 @ u0)
-        for row in (0, M):
-            A[row] = 0.0
-            A[row, row] = 1.0
-            rhs[row] = 0.0
-        np.testing.assert_allclose(got, np.linalg.solve(A, rhs), rtol=1e-13, atol=1e-15)
-
     def test_reference_error_level(self):
         # alpha = 0.25, M = 100, N = 10 has a known max-lattice error of
         # 3.6050e-2; require agreement within 2 percent.
@@ -104,6 +131,18 @@ class TestTransformedScheme:
         u_quad = solve(p_quad, grid, mesh)
         gap = float(np.max(np.abs(u_closed.values - u_quad.values)))
         assert gap <= 5e-4
+
+    def test_quadrature_fallback_samples_f_once_per_level(self):
+        base = manufactured_sin(0.5)
+        calls = []
+
+        def f(x, t):
+            calls.append(t)
+            return base.f(x, t)
+
+        p = dataclasses.replace(base, f=f, exact_f_conv=None)
+        solve(p, SpatialGrid(8), graded_time_mesh(1.0, 16, 2.0))
+        assert len(calls) == 16 + 1
 
     def test_energy_stability_without_forcing(self):
         # With f = 0 the energy norm of every level stays below the
@@ -142,26 +181,6 @@ class TestTransformedScheme:
 
 
 class TestL1Scheme:
-    def test_single_step_against_dense_assembly(self):
-        alpha, M = 0.5, 4
-        p = manufactured_sin(alpha)
-        grid = SpatialGrid(M)
-        mesh = uniform_time_mesh(1.0, 2)
-        tau = 0.5
-        mu = 1.0 / (math.gamma(2.0 - alpha) * tau**alpha)
-        u0 = np.asarray(p.phi(grid.x), dtype=float)
-        got = step_l1(p, grid, mesh, u0[None, :])
-
-        H = dense_compact_matrix(M)
-        D2 = dense_second_diff_matrix(M, grid.h)
-        A = mu * H - D2
-        rhs = mu * (H @ u0) + H @ p.f(grid.x, mesh.t[1])
-        for row in (0, M):
-            A[row] = 0.0
-            A[row, row] = 1.0
-            rhs[row] = 0.0
-        np.testing.assert_allclose(got, np.linalg.solve(A, rhs), rtol=1e-13, atol=1e-15)
-
     def test_rejects_graded_mesh(self):
         p = manufactured_sin(0.5)
         with pytest.raises(ValueError, match="uniform"):
@@ -183,16 +202,6 @@ class TestL1Scheme:
 
 
 class TestHistoryValidation:
-    def test_wrong_width(self):
-        p = manufactured_sin(0.5)
-        with pytest.raises(ValueError):
-            step_transformed(p, SpatialGrid(8), uniform_time_mesh(1.0, 4), np.zeros((1, 5)))
-
-    def test_too_many_levels(self):
-        p = manufactured_sin(0.5)
-        with pytest.raises(ValueError):
-            step_transformed(p, SpatialGrid(8), uniform_time_mesh(1.0, 4), np.zeros((5, 9)))
-
     def test_lattice_shape_checked(self):
         with pytest.raises(ValueError):
             SolutionLattice(
