@@ -35,15 +35,30 @@ __all__ = [
 CSV_HEADER = "alpha,scheme,mesh,M,N,E1,rate,wall_seconds"
 
 
-def max_lattice_error(
-    lattice: SolutionLattice, exact: Callable[[np.ndarray, float], np.ndarray]
+def _worst_level(
+    lattice: SolutionLattice,
+    exact: Callable[[np.ndarray, float], np.ndarray],
+    level_error: Callable[[np.ndarray], float],
 ) -> float:
-    """Largest pointwise error over every node of every level."""
+    """Largest ``level_error`` of any level's error; a non-finite one raises."""
     worst = 0.0
     for n, t in enumerate(lattice.mesh.t):
         diff = lattice.values[n] - np.asarray(exact(lattice.grid.x, float(t)))
-        worst = max(worst, float(np.max(np.abs(diff))))
+        err = level_error(diff)
+        if not np.isfinite(err):
+            raise ValueError(f"error at level {n} (t = {t:g}) is not finite ({err})")
+        worst = max(worst, err)
     return worst
+
+
+def max_lattice_error(
+    lattice: SolutionLattice, exact: Callable[[np.ndarray, float], np.ndarray]
+) -> float:
+    """Largest pointwise error over every node of every level.
+
+    A non-finite error at any level raises ValueError.
+    """
+    return _worst_level(lattice, exact, lambda d: float(np.max(np.abs(d))))
 
 
 def lattice_error(
@@ -55,7 +70,7 @@ def lattice_error(
 
     ``max`` is the pointwise lattice maximum, ``l2`` and ``a`` take the
     discrete L2 and energy norms of each level's error and report the
-    largest one.
+    largest one.  A non-finite error at any level raises ValueError.
     """
     if norm == "max":
         return max_lattice_error(lattice, exact)
@@ -65,11 +80,7 @@ def lattice_error(
         level = lambda d: norm_energy(d, lattice.grid.h)
     else:
         raise ValueError(f"unknown norm {norm!r} (known: max, a, l2)")
-    worst = 0.0
-    for n, t in enumerate(lattice.mesh.t):
-        diff = lattice.values[n] - np.asarray(exact(lattice.grid.x, float(t)))
-        worst = max(worst, level(diff))
-    return worst
+    return _worst_level(lattice, exact, level)
 
 
 def parse_mesh_kind(mesh_kind: str) -> float:

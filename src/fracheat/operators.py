@@ -10,6 +10,12 @@ spatial structure of the schemes lives in two stencils:
 
 Both act on interior nodes only; the compact average passes boundary
 values through unchanged and the second difference returns zeros there.
+
+Tridiagonal systems are solved by the Thomas algorithm in two steps: the
+factorization (``factor_tridiagonal``) validates the bands and runs the
+forward elimination once per matrix, and ``TridiagonalFactors.solve``
+runs the forward and back substitution, two O(n) sweeps on Python floats,
+per right-hand side.  ``solve_tridiagonal`` is the two steps in a row.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ __all__ = [
     "seminorm_h1",
     "norm_energy",
     "TridiagonalSystem",
+    "TridiagonalFactors",
+    "factor_tridiagonal",
     "solve_tridiagonal",
 ]
 
@@ -82,6 +90,25 @@ def norm_energy(v: GridFunction, h: float) -> float:
     return float(np.sqrt(rad))
 
 
+def _check_bands(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
+    """Band lengths, finiteness and strict row dominance, or ValueError."""
+    n = diag.size
+    if lower.size != n - 1 or upper.size != n - 1:
+        raise ValueError("inconsistent band lengths")
+    for name, band in (("lower", lower), ("diag", diag), ("upper", upper)):
+        bad = np.flatnonzero(~np.isfinite(band))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"{name} band entry {i} is not finite ({band[i]})")
+    off = np.zeros(n)
+    off[:-1] += np.abs(upper)
+    off[1:] += np.abs(lower)
+    gap = np.abs(diag) - off
+    if not np.all(gap > 0.0):
+        i = int(np.argmin(gap))
+        raise ValueError(f"row {i} is not strictly diagonally dominant (gap {gap[i]})")
+
+
 @dataclass(frozen=True)
 class TridiagonalSystem:
     """A strictly diagonally dominant tridiagonal system A u = b.
@@ -89,7 +116,7 @@ class TridiagonalSystem:
     ``diag`` and ``rhs`` have length n; ``lower`` and ``upper`` have length
     n - 1 and hold A[i+1, i] and A[i, i+1].  Strict row dominance is what
     licenses the pivot-free elimination in ``solve_tridiagonal``, so it is
-    checked at construction.
+    checked at construction, along with finite bands.
     """
 
     lower: np.ndarray
@@ -98,46 +125,70 @@ class TridiagonalSystem:
     rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.diag.size
-        if self.rhs.size != n or self.lower.size != n - 1 or self.upper.size != n - 1:
+        if self.rhs.size != self.diag.size:
             raise ValueError("inconsistent band lengths")
-        if __debug__:
-            off = np.zeros(n)
-            off[:-1] += np.abs(self.upper)
-            off[1:] += np.abs(self.lower)
-            gap = np.abs(self.diag) - off
-            if not np.all(gap > 0.0):
-                i = int(np.argmin(gap))
-                raise ValueError(
-                    f"row {i} is not strictly diagonally dominant (gap {gap[i]})"
-                )
+        _check_bands(self.lower, self.diag, self.upper)
 
 
-def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Solve A u = b by the Thomas algorithm (no pivoting).
+@dataclass(frozen=True)
+class TridiagonalFactors:
+    """Pivot-free LU factors of a tridiagonal matrix, as Python floats.
+
+    ``pivots[i]`` is the i-th pivot of the forward sweep, ``ratios[i]`` the
+    multiplier upper[i] / pivots[i], and ``lower`` the subdiagonal.  They
+    depend on the bands only, so one factorization serves every right-hand
+    side of the same matrix.
+    """
+
+    lower: list[float]
+    pivots: list[float]
+    ratios: list[float]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Forward and back substitution for one right-hand side."""
+        piv, c = self.pivots, self.ratios
+        b = np.asarray(rhs, dtype=float).tolist()
+        if len(b) != len(piv):
+            raise ValueError(f"right-hand side has {len(b)} rows, matrix has {len(piv)}")
+        d = b[0] / piv[0]
+        y = [d]
+        for low, p, r in zip(self.lower, piv[1:], b[1:]):
+            d = (r - low * d) / p
+            y.append(d)
+        for i in range(len(y) - 2, -1, -1):
+            d = y[i] - c[i] * d
+            y[i] = d
+        return np.array(y)
+
+
+def _eliminate(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> TridiagonalFactors:
+    """Forward sweep of the Thomas algorithm on the bands alone.
 
     Row dominance guarantees every pivot stays bounded away from zero; a
     vanishing pivot therefore indicates a corrupted system and raises.
     """
-    n = system.diag.size
-    piv = system.diag[0]
+    low, dia, up = lower.tolist(), diag.tolist(), upper.tolist()
+    piv = dia[0]
     if abs(piv) < 1e-300:
         raise ValueError("zero pivot in row 0")
-    if n == 1:
-        return np.array([system.rhs[0] / piv])
-    c = np.empty(n - 1)
-    d = np.empty(n)
-    c[0] = system.upper[0] / piv
-    d[0] = system.rhs[0] / piv
-    for i in range(1, n):
-        piv = system.diag[i] - system.lower[i - 1] * c[i - 1]
+    pivots, ratios = [piv], []
+    for i in range(1, len(dia)):
+        ratios.append(up[i - 1] / piv)
+        piv = dia[i] - low[i - 1] * ratios[-1]
         if abs(piv) < 1e-300:
             raise ValueError(f"zero pivot in row {i}")
-        if i < n - 1:
-            c[i] = system.upper[i] / piv
-        d[i] = (system.rhs[i] - system.lower[i - 1] * d[i - 1]) / piv
-    u = np.empty(n)
-    u[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        u[i] = d[i] - c[i] * u[i + 1]
-    return u
+        pivots.append(piv)
+    return TridiagonalFactors(lower=low, pivots=pivots, ratios=ratios)
+
+
+def factor_tridiagonal(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
+) -> TridiagonalFactors:
+    """Validate the bands as ``TridiagonalSystem`` does, then factor them once."""
+    _check_bands(lower, diag, upper)
+    return _eliminate(lower, diag, upper)
+
+
+def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
+    """Solve A u = b by the Thomas algorithm (no pivoting): factor, then substitute."""
+    return _eliminate(system.lower, system.diag, system.upper).solve(system.rhs)

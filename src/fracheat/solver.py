@@ -6,7 +6,10 @@ level n solves
 
     (p H - r D2) u^n = rhs^n,    u^n_0 = u^n_M = 0,
 
-by one tridiagonal solve, after one weighted sum over the history:
+by two O(M) substitution sweeps, after one weighted sum over the history.
+The level matrix p H - r D2 is factored only when (p, r) changes: once
+per solve for L1 and for transformed meshes whose steps are bitwise
+equal, once per level on graded meshes.  The schemes are:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
   the problem with the exact kernel step weights a_1..a_n of level n
@@ -28,7 +31,10 @@ by one tridiagonal solve, after one weighted sum over the history:
   rhs^n = lambda H (L1 history combination) + H f(t_n).
 
 Every interior row has dominance gap min(p, 8p/12 + 4r/h**2) >= 2p/3 for
-both schemes, so the pivot-free Thomas solve is safe.
+both schemes, so the pivot-free Thomas solve is safe; the factorization
+checks the dominance of every matrix it factors.  A non-finite level can
+only come from non-finite (or overflowing) forcing or initial data, and
+``solve`` names the first one instead of returning it.
 """
 
 from __future__ import annotations
@@ -40,10 +46,10 @@ import numpy as np
 
 from .meshes import SpatialGrid, TemporalMesh
 from .operators import (
-    TridiagonalSystem,
+    TridiagonalFactors,
     apply_compact,
     apply_second_diff,
-    solve_tridiagonal,
+    factor_tridiagonal,
 )
 from .problems import ProblemSpec
 from .quadrature import weights_row
@@ -74,25 +80,19 @@ class SolutionLattice:
                 f"lattice shape {v.shape} does not match "
                 f"(N+1, M+1) = {(self.mesh.N + 1, self.grid.M + 1)}"
             )
-        if __debug__:
-            if v.shape[0] > 1 and np.any(v[1:, [0, -1]] != 0.0):
-                raise ValueError("computed levels must satisfy the boundary pinning")
+        if v.shape[0] > 1 and np.any(v[1:, [0, -1]] != 0.0):
+            raise ValueError("computed levels must satisfy the boundary pinning")
 
 
-def _dirichlet_tridiagonal(
-    off: float, diag_val: float, rhs: np.ndarray
-) -> TridiagonalSystem:
-    """Constant-coefficient interior rows with pinned boundary rows."""
-    m = rhs.size - 1
+def _dirichlet_factors(off: float, diag_val: float, m: int) -> TridiagonalFactors:
+    """Factors of constant-coefficient interior rows with pinned boundary rows."""
     lower = np.full(m, off)
     upper = np.full(m, off)
     diag = np.full(m + 1, diag_val)
     diag[0] = diag[-1] = 1.0
     upper[0] = 0.0
     lower[-1] = 0.0
-    rhs = rhs.copy()
-    rhs[0] = rhs[-1] = 0.0
-    return TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
+    return factor_tridiagonal(lower, diag, upper)
 
 
 def solve(
@@ -105,6 +105,7 @@ def solve(
 
     Row 0 of the result is the initial data sampled on the grid; row n is
     the solution of the level-n system described in the module docstring.
+    Raises ValueError naming the first level that is not finite.
     """
     alpha, x, h = problem.alpha, grid.x, grid.h
     u = np.empty((mesh.N + 1, grid.M + 1))
@@ -121,6 +122,7 @@ def solve(
     elif problem.exact_f_conv is None:
         f_samples = np.empty_like(u)
         f_samples[0] = problem.f(x, mesh.t[0])
+    matrix, factors = None, None
 
     for n in range(1, mesh.N + 1):
         t_n = mesh.t[n]
@@ -153,8 +155,18 @@ def solve(
         q = r / (h * h)
         off = p / 12.0 - q
         diag_val = 10.0 * p / 12.0 + 2.0 * q
-        # Dominance gap is min(p, 8p/12 + 4q), never below 2p/3 up to
-        # rounding in diag_val.
-        assert diag_val - 2.0 * abs(off) >= 2.0 / 3.0 * p - 1e-12 * diag_val
-        u[n] = solve_tridiagonal(_dirichlet_tridiagonal(off, diag_val, rhs))
+        if (off, diag_val) != matrix:
+            matrix = (off, diag_val)
+            factors = _dirichlet_factors(off, diag_val, grid.M)
+        rhs[0] = rhs[-1] = 0.0
+        u[n] = factors.solve(rhs)
+
+    # A NaN or infinity in a level shows in that level's max or min.
+    finite = np.isfinite(u.max(axis=1)) & np.isfinite(u.min(axis=1))
+    if not finite.all():
+        n = int(np.argmin(finite))
+        raise ValueError(
+            f"solution level {n} (t = {mesh.t[n]:g}) is not finite: the forcing "
+            "or the initial data is not finite, or too large, up to that time"
+        )
     return SolutionLattice(values=u, grid=grid, mesh=mesh)

@@ -43,6 +43,33 @@ def dense_tridiagonal(lower, diag, upper) -> np.ndarray:
     return A
 
 
+def thomas_elementwise(lower, diag, upper, rhs) -> np.ndarray:
+    """The Thomas algorithm indexing numpy scalars, one row at a time.
+
+    Factorization and substitution interleaved in a single forward sweep;
+    the library's factor-then-substitute solve must reproduce it bit for
+    bit.
+    """
+    n = diag.size
+    piv = diag[0]
+    if n == 1:
+        return np.array([rhs[0] / piv])
+    c = np.empty(n - 1)
+    d = np.empty(n)
+    c[0] = upper[0] / piv
+    d[0] = rhs[0] / piv
+    for i in range(1, n):
+        piv = diag[i] - lower[i - 1] * c[i - 1]
+        if i < n - 1:
+            c[i] = upper[i] / piv
+        d[i] = (rhs[i] - lower[i - 1] * d[i - 1]) / piv
+    u = np.empty(n)
+    u[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        u[i] = d[i] - c[i] * u[i + 1]
+    return u
+
+
 def fractional_integral_monomial(alpha: float, beta: float, t: float) -> float:
     """Beta identity: I^alpha[s**beta](t) = G(b+1)/G(a+b+1) t**(a+b)."""
     return math.gamma(beta + 1.0) / math.gamma(alpha + beta + 1.0) * t ** (alpha + beta)

@@ -71,6 +71,28 @@ class TestLatticeError:
         with pytest.raises(ValueError, match="norm"):
             lattice_error(lattice, p.exact_u, "h1")
 
+    def test_max_error_rejects_nan_level(self):
+        # max(0.0, nan) is 0.0, so a NaN level must not fold into the maximum.
+        p = manufactured_sin(0.5)
+        grid, mesh = SpatialGrid(16), uniform_time_mesh(1.0, 8)
+        values = np.asarray(_exact_lattice(p, grid, mesh).values).copy()
+        values[3, 5] = np.nan
+        lattice = SolutionLattice(values=values, grid=grid, mesh=mesh)
+        with pytest.raises(ValueError, match=r"level 3 \(t = 0.375\) is not finite"):
+            max_lattice_error(lattice, p.exact_u)
+
+    @pytest.mark.parametrize("norm", ["max", "l2", "a"])
+    def test_lattice_error_rejects_non_finite_level(self, norm):
+        p = manufactured_sin(0.5)
+        grid, mesh = SpatialGrid(16), uniform_time_mesh(1.0, 8)
+        lattice = solve(p, grid, mesh)
+
+        def exact(x, t):
+            return p.exact_u(x, t) + (np.nan if t == 1.0 else 0.0)
+
+        with pytest.raises(ValueError, match=r"level 8 \(t = 1\) is not finite"):
+            lattice_error(lattice, exact, norm)
+
 
 class TestMeshKindParsing:
     def test_uniform(self):

@@ -7,12 +7,18 @@ from fracheat.operators import (
     TridiagonalSystem,
     apply_compact,
     apply_second_diff,
+    factor_tridiagonal,
     norm_energy,
     norm_l2,
     seminorm_h1,
     solve_tridiagonal,
 )
-from oracles import dense_compact_matrix, dense_second_diff_matrix, dense_tridiagonal
+from oracles import (
+    dense_compact_matrix,
+    dense_second_diff_matrix,
+    dense_tridiagonal,
+    thomas_elementwise,
+)
 
 
 def _random_zero_boundary(rng, M):
@@ -120,6 +126,34 @@ class TestNorms:
                 assert lhs == pytest.approx(norm_energy(v, h) ** 2, rel=1e-11)
 
 
+def _scheme_shaped_bands(M, q):
+    """Rows as assembled by the march: off = 1/12 - q on both bands,
+    diagonal 10/12 + 2q, boundary rows pinned to identity."""
+    off = 1.0 / 12.0 - q
+    lower = np.full(M, off)
+    upper = np.full(M, off)
+    diag = np.full(M + 1, 10.0 / 12.0 + 2.0 * q)
+    diag[0] = diag[-1] = 1.0
+    upper[0] = 0.0
+    lower[-1] = 0.0
+    return lower, diag, upper
+
+
+def _random_dominant_systems(rng, count):
+    for _ in range(count):
+        n = int(rng.integers(2, 40))
+        lower = rng.standard_normal(n - 1)
+        upper = rng.standard_normal(n - 1)
+        diag = np.zeros(n)
+        diag[:-1] += np.abs(upper)
+        diag[1:] += np.abs(lower)
+        diag += rng.uniform(0.5, 2.0, size=n)
+        diag *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        yield TridiagonalSystem(
+            lower=lower, diag=diag, upper=upper, rhs=rng.standard_normal(n)
+        )
+
+
 class TestTridiagonalSolve:
     def test_small_frozen_system(self):
         sys3 = TridiagonalSystem(
@@ -134,17 +168,9 @@ class TestTridiagonalSolve:
 
     @pytest.mark.parametrize("q", [0.01, 1.0, 100.0])
     def test_scheme_shaped_rows_match_dense_solve(self, q):
-        # Rows as assembled by the time steppers: off = 1/12 - q on both
-        # bands, diagonal 10/12 + 2q, boundary rows pinned to identity.
         rng = np.random.default_rng(int(100 * q) + 3)
         M = 50
-        off = 1.0 / 12.0 - q
-        lower = np.full(M, off)
-        upper = np.full(M, off)
-        diag = np.full(M + 1, 10.0 / 12.0 + 2.0 * q)
-        diag[0] = diag[-1] = 1.0
-        upper[0] = 0.0
-        lower[-1] = 0.0
+        lower, diag, upper = _scheme_shaped_bands(M, q)
         rhs = rng.standard_normal(M + 1)
         rhs[0] = rhs[-1] = 0.0
         system = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
@@ -154,19 +180,51 @@ class TestTridiagonalSolve:
 
     def test_random_dominant_systems_match_dense_solve(self):
         rng = np.random.default_rng(23)
-        for _ in range(50):
-            n = int(rng.integers(2, 40))
-            lower = rng.standard_normal(n - 1)
-            upper = rng.standard_normal(n - 1)
-            diag = np.zeros(n)
-            diag[:-1] += np.abs(upper)
-            diag[1:] += np.abs(lower)
-            diag += rng.uniform(0.5, 2.0, size=n)
-            diag *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            rhs = rng.standard_normal(n)
-            system = TridiagonalSystem(lower=lower, diag=diag, upper=upper, rhs=rhs)
-            ref = np.linalg.solve(dense_tridiagonal(lower, diag, upper), rhs)
-            np.testing.assert_allclose(solve_tridiagonal(system), ref, rtol=1e-10, atol=1e-12)
+        for s in _random_dominant_systems(rng, 50):
+            ref = np.linalg.solve(dense_tridiagonal(s.lower, s.diag, s.upper), s.rhs)
+            np.testing.assert_allclose(solve_tridiagonal(s), ref, rtol=1e-10, atol=1e-12)
+
+    def test_random_dominant_systems_bitwise_match_elementwise_thomas(self):
+        rng = np.random.default_rng(23)
+        for s in _random_dominant_systems(rng, 50):
+            ref = thomas_elementwise(s.lower, s.diag, s.upper, s.rhs)
+            assert np.array_equal(solve_tridiagonal(s), ref)
+
+    @pytest.mark.parametrize("M", [8, 100, 2000])
+    @pytest.mark.parametrize("q", [0.01, 1.0, 100.0, 1e6])
+    def test_scheme_shaped_rows_bitwise_match_elementwise_thomas(self, M, q):
+        # One factorization serves several right-hand sides, each solved
+        # exactly as the interleaved element-wise loop solves it.
+        rng = np.random.default_rng(M + int(q))
+        bands = _scheme_shaped_bands(M, q)
+        factors = factor_tridiagonal(*bands)
+        for _ in range(3):
+            rhs = rng.standard_normal(M + 1)
+            rhs[0] = rhs[-1] = 0.0
+            ref = thomas_elementwise(*bands, rhs)
+            assert np.array_equal(factors.solve(rhs), ref)
+            assert np.array_equal(
+                solve_tridiagonal(TridiagonalSystem(*bands, rhs=rhs)), ref
+            )
+
+    @pytest.mark.parametrize("band", ["lower", "diag", "upper"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_bands(self, band, bad):
+        bands = dict(zip(("lower", "diag", "upper"), _scheme_shaped_bands(6, 1.0)))
+        bands[band][2] = bad
+        with pytest.raises(ValueError, match=f"{band} band entry 2 is not finite"):
+            factor_tridiagonal(**bands)
+        with pytest.raises(ValueError, match=f"{band} band entry 2 is not finite"):
+            TridiagonalSystem(**bands, rhs=np.zeros(7))
+
+    def test_factorization_rejects_weakly_dominant_rows(self):
+        with pytest.raises(ValueError, match="row 1 is not strictly diagonally dominant"):
+            factor_tridiagonal(np.array([2.0, 2.0]), np.ones(3), np.array([2.0, 2.0]))
+
+    def test_factors_reject_wrong_rhs_length(self):
+        factors = factor_tridiagonal(*_scheme_shaped_bands(6, 1.0))
+        with pytest.raises(ValueError, match="right-hand side has 6 rows"):
+            factors.solve(np.zeros(6))
 
     def test_rejects_weakly_dominant_rows(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,62 @@
+"""Correctness checks that must survive ``python -O``.
+
+``-O`` strips ``assert`` statements and ``if __debug__:`` blocks, so each
+check here runs in a fresh ``python -O`` interpreter.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import fracheat
+
+SRC = Path(fracheat.__file__).resolve().parents[1]
+
+
+def _run_optimized(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "code, message",
+    [
+        (
+            """
+            import numpy as np
+            from fracheat.operators import TridiagonalSystem
+            TridiagonalSystem(lower=np.array([2.0, 2.0]), diag=np.ones(3),
+                              upper=np.array([2.0, 2.0]), rhs=np.zeros(3))
+            """,
+            "ValueError: row 1 is not strictly diagonally dominant",
+        ),
+        (
+            """
+            import dataclasses
+            from fracheat import SpatialGrid, manufactured_sin, solve, uniform_time_mesh
+            p = dataclasses.replace(manufactured_sin(0.5),
+                                    f=lambda x, t: x * float("nan"), exact_f_conv=None)
+            solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4))
+            """,
+            "ValueError: solution level 1 (t = 0.25) is not finite",
+        ),
+    ],
+    ids=["weakly-dominant-rows", "nan-forcing"],
+)
+def test_check_raises_under_optimized_python(code, message):
+    result = _run_optimized("assert False, 'not optimized'\n" + textwrap.dedent(code))
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert message in result.stderr

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import fracheat.solver
 from fracheat.harness import max_lattice_error
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
-from fracheat.operators import norm_energy
+from fracheat.operators import apply_compact, apply_second_diff, norm_energy
 from fracheat.problems import get_problem, manufactured_sin, sine_decay, zero_problem
+from fracheat.quadrature import weights_row
 from fracheat.solver import SchemeKind, SolutionLattice, solve
-from oracles import dense_compact_matrix, dense_second_diff_matrix
+from fracheat.special import gamma
+from oracles import dense_compact_matrix, dense_second_diff_matrix, thomas_elementwise
 
 
 def _dense_march(problem, M, mesh, scheme):
@@ -55,6 +58,51 @@ def _dense_march(problem, M, mesh, scheme):
             rhs[row] = 0.0
         u.append(np.linalg.solve(A, rhs))
     return np.array(u)
+
+
+def _elementwise_march(problem, grid, mesh, scheme):
+    """The march with its level matrix assembled and solved afresh per level.
+
+    Same right-hand sides as ``solve``, but every level builds its bands
+    and runs the interleaved element-wise Thomas loop, so ``solve`` must
+    match it bit for bit however it reuses factorizations.
+    """
+    alpha, x, h, M = problem.alpha, grid.x, grid.h, grid.M
+    u = np.empty((mesh.N + 1, M + 1))
+    u[0] = problem.phi(x)
+    f_samples = [problem.f(x, mesh.t[0])]
+    for n in range(1, mesh.N + 1):
+        t_n = mesh.t[n]
+        if scheme is SchemeKind.L1:
+            p, r = 1.0 / (gamma(2.0 - alpha) * (mesh.T / mesh.N) ** alpha), 1.0
+            j = np.arange(mesh.N, dtype=float)
+            b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+            combo = b[n - 1] * u[0]
+            if n > 1:
+                combo = combo + (b[n - 2 :: -1] - b[n - 1 : 0 : -1]) @ u[1:n]
+            forcing, history = problem.f(x, t_n), 0.0
+        else:
+            a = weights_row(alpha, mesh, n).weights
+            p, r, combo = 1.0, 0.5 * a[-1], u[0]
+            if problem.exact_f_conv is not None:
+                forcing = problem.exact_f_conv(x, t_n)
+            else:
+                f_samples.append(problem.f(x, t_n))
+                f = np.array(f_samples)
+                forcing = a @ (f[1:] + f[:-1]) / 2.0
+            w = 0.5 * a
+            w[1:] += 0.5 * a[:-1]
+            history = apply_second_diff(w @ u[:n], h)
+        rhs = p * apply_compact(combo) + apply_compact(forcing) + history
+        rhs[0] = rhs[-1] = 0.0
+        q = r / (h * h)
+        lower = np.full(M, p / 12.0 - q)
+        upper = lower.copy()
+        diag = np.full(M + 1, 10.0 * p / 12.0 + 2.0 * q)
+        diag[0] = diag[-1] = 1.0
+        upper[0] = lower[-1] = 0.0
+        u[n] = thomas_elementwise(lower, diag, upper, rhs)
+    return u
 
 
 class TestBothSchemes:
@@ -103,6 +151,65 @@ class TestBothSchemes:
         M, mesh = 8, graded_time_mesh(1.0, 6, grading)
         got = solve(p, SpatialGrid(M), mesh, scheme).values
         np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "scheme, grading, alpha",
+        [(SchemeKind.L1, 1.0, 0.25), (SchemeKind.TRANSFORMED, 2.0, 0.75)],
+    )
+    def test_march_bitwise_matches_elementwise_oracle(self, scheme, grading, alpha):
+        p = dataclasses.replace(manufactured_sin(alpha), exact_f_conv=None)
+        grid, mesh = SpatialGrid(64), graded_time_mesh(1.0, 40, grading)
+        got = solve(p, grid, mesh, scheme).values
+        assert np.array_equal(got, _elementwise_march(p, grid, mesh, scheme))
+
+    @pytest.mark.parametrize(
+        "scheme, N, grading, factorizations",
+        [
+            (SchemeKind.L1, 24, 1.0, 1),
+            # Steps of 1/32 are bitwise equal, so every level has one matrix.
+            (SchemeKind.TRANSFORMED, 32, 1.0, 1),
+            (SchemeKind.TRANSFORMED, 24, 2.0, 24),
+        ],
+    )
+    def test_factors_once_per_distinct_level_matrix(
+        self, monkeypatch, scheme, N, grading, factorizations
+    ):
+        calls = []
+        factor = fracheat.solver.factor_tridiagonal
+
+        def counted(*bands):
+            calls.append(bands)
+            return factor(*bands)
+
+        monkeypatch.setattr(fracheat.solver, "factor_tridiagonal", counted)
+        solve(manufactured_sin(0.5), SpatialGrid(16), graded_time_mesh(1.0, N, grading), scheme)
+        assert len(calls) == factorizations
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_non_finite_forcing_names_the_first_bad_level(self, scheme, closed_form):
+        base = manufactured_sin(0.5)
+        mesh = uniform_time_mesh(1.0, 8)
+        t_bad = mesh.t[3]
+
+        def poisoned(fn):
+            return lambda x, t: fn(x, t) + (np.nan if t >= t_bad else 0.0)
+
+        p = dataclasses.replace(base, f=poisoned(base.f))
+        if closed_form:
+            p = dataclasses.replace(p, exact_f_conv=poisoned(base.exact_f_conv))
+        else:
+            p = dataclasses.replace(p, exact_f_conv=None)
+        with pytest.raises(ValueError, match=r"level 3 \(t = 0.375\) is not finite.*forcing"):
+            solve(p, SpatialGrid(8), mesh, scheme)
+
+    def test_non_finite_initial_data_is_level_zero(self):
+        base = sine_decay(0.5)
+        p = dataclasses.replace(
+            base, exact_u=None, phi=lambda x: np.where(x == 0.5, np.nan, base.phi(x))
+        )
+        with pytest.raises(ValueError, match=r"level 0 \(t = 0\).*initial data"):
+            solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4))
 
 class TestTransformedScheme:
     def test_reference_error_level(self):
@@ -209,3 +316,9 @@ class TestHistoryValidation:
                 grid=SpatialGrid(8),
                 mesh=uniform_time_mesh(1.0, 4),
             )
+
+    def test_lattice_boundary_pinning_checked(self):
+        values = np.zeros((5, 9))
+        values[2, -1] = 1e-3
+        with pytest.raises(ValueError, match="boundary pinning"):
+            SolutionLattice(values=values, grid=SpatialGrid(8), mesh=uniform_time_mesh(1.0, 4))
