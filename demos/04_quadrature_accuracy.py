@@ -30,7 +30,7 @@ def main() -> None:
         ("graded r=2, N=16", graded_time_mesh(1.0, 16, 2.0)),
     ):
         row = weights_row(0.5, mesh, 16)
-        total = float(np.sum(row.weights))
+        total = float(np.sum(row))
         expect = mesh.t[16] ** 0.5 / gamma(1.5)
         print(f"  {label}: sum of weights = {total:.15f}, "
               f"t_N**alpha / Gamma(1 + alpha) = {expect:.15f}")

@@ -39,7 +39,6 @@ from .problems import (
     zero_problem,
 )
 from .quadrature import (
-    WeightRow,
     midpoint_convolution,
     weights_row,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "series_reference",
     "sine_decay",
     "zero_problem",
-    "WeightRow",
     "midpoint_convolution",
     "weights_row",
     "SchemeKind",

@@ -17,7 +17,6 @@ applied to g = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,36 +25,19 @@ from .meshes import SpatialGrid, TemporalMesh
 from .special import gamma
 
 __all__ = [
-    "WeightRow",
     "weights_row",
     "midpoint_convolution",
     "forcing_convolution_profile",
 ]
 
 
-@dataclass(frozen=True)
-class WeightRow:
-    """Convolution weights a_k, k = 1..n, for one time level t_n.
-
-    All weights are strictly positive for any admissible mesh, and their
-    sum telescopes to t_n**alpha / Gamma(1 + alpha).
-    """
-
-    alpha: float
-    t_n: float
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.ascontiguousarray(self.weights, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        if __debug__:
-            if w.size == 0 or not np.all(w > 0.0):
-                raise ValueError("weights must be a nonempty positive array")
-
-
-def weights_row(alpha: float, mesh: TemporalMesh, n: int) -> WeightRow:
+def weights_row(alpha: float, mesh: TemporalMesh, n: int) -> np.ndarray:
     """Exact step integrals of the kernel (t_n - s)**(alpha-1) / Gamma(alpha).
+
+    Returns the read-only row a_1, ..., a_n of level n.  Every weight is
+    positive and finite for an admissible mesh, and the row sums to
+    t_n**alpha / Gamma(1 + alpha); a weight that rounds to zero (a step
+    too small against t_n) raises ValueError.
 
     Parameters
     ----------
@@ -70,10 +52,17 @@ def weights_row(alpha: float, mesh: TemporalMesh, n: int) -> WeightRow:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not 1 <= n <= mesh.N:
         raise ValueError(f"level must satisfy 1 <= n <= {mesh.N}, got {n}")
-    t = mesh.t
-    t_n = t[n]
-    w = ((t_n - t[:n]) ** alpha - (t_n - t[1 : n + 1]) ** alpha) / gamma(1.0 + alpha)
-    return WeightRow(alpha=alpha, t_n=float(t_n), weights=w)
+    powers = (mesh.t[n] - mesh.t[: n + 1]) ** alpha
+    w = (powers[:-1] - powers[1:]) / gamma(1.0 + alpha)
+    ok = (w > 0.0) & (w < np.inf)
+    if not ok.all():
+        k = int(np.argmin(ok)) + 1
+        raise ValueError(
+            f"kernel weight a_{k} of level {n} is not positive and finite "
+            f"({w[k - 1]}): step {k} is too small against t_{n}"
+        )
+    w.flags.writeable = False
+    return w
 
 
 def midpoint_convolution(
@@ -92,7 +81,7 @@ def midpoint_convolution(
     g = np.asarray(values, dtype=float)
     if g.size < n + 1:
         raise ValueError(f"need samples at levels 0..{n}, got {g.size}")
-    w = weights_row(alpha, mesh, n).weights
+    w = weights_row(alpha, mesh, n)
     return float(w @ (g[1 : n + 1] + g[:n]) / 2.0)
 
 
@@ -113,5 +102,5 @@ def forcing_convolution_profile(
     samples = np.stack(
         [np.asarray(f(grid.x, t), dtype=float) for t in mesh.t[: n + 1]]
     )
-    w = weights_row(alpha, mesh, n).weights
+    w = weights_row(alpha, mesh, n)
     return w @ (samples[1 : n + 1] + samples[:n]) / 2.0

@@ -8,8 +8,19 @@ level n solves
 
 by two O(M) substitution sweeps, after one weighted sum over the history.
 The level matrix p H - r D2 is factored only when (p, r) changes: once
-per solve for L1 and for transformed meshes whose steps are bitwise
-equal, once per level on graded meshes.  The schemes are:
+per solve on a uniform mesh, once per level on a graded one.
+
+On a uniform mesh (steps equal to 1e-12 relative) every weight of either
+scheme depends only on the lag n - j, so the history is a causal Toeplitz
+convolution in time and one kernel row serves the whole solve.  The
+march runs in blocks of ``_LEAF`` levels, summing the history from inside
+the block directly.  When a block of B = _LEAF, 2 _LEAF, 4 _LEAF, ...
+levels is done and is the first half of a block of 2B, its history for
+the second half is added at once by FFT (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6(3), 1985): O(M N log^2 N) in all instead of
+O(M N^2).  Rows of levels not yet solved hold the history added so far,
+starting with the u^0 term.  Graded meshes build their weights per level
+and sum the whole history directly.  The schemes are:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
   the problem with the exact kernel step weights a_1..a_n of level n
@@ -20,7 +31,9 @@ equal, once per level on graded meshes.  The schemes are:
 
   where q^n is the fractional integral of the forcing at t_n, either in
   closed form or by the same product quadrature over samples of f taken
-  once per level.  Spatial accuracy is fourth order thanks to the compact
+  once per level.  On a uniform mesh a_k = A_{n-k+1}, with A_1..A_N the
+  weights of level N reversed, and the quadrature of f is a Toeplitz sum
+  too.  Spatial accuracy is fourth order thanks to the compact
   stencil; the temporal error comes only from averaging the integrand over
   steps, so no time derivative of the solution is ever formed and graded
   meshes are supported directly.
@@ -28,7 +41,9 @@ equal, once per level on graded meshes.  The schemes are:
 * ``SchemeKind.L1`` is the classical baseline on a uniform mesh: the
   Caputo derivative is replaced by the L1 difference quotient, so (p, r) =
   (lambda, 1) with lambda = 1 / (Gamma(2 - alpha) tau**alpha), and
-  rhs^n = lambda H (L1 history combination) + H f(t_n).
+
+      rhs^n = lambda H (b_{n-1} u^0 + sum_{0<j<n} (b_{n-j-1} - b_{n-j}) u^j)
+              + H f(t_n),    b_j = (j + 1)**(1 - alpha) - j**(1 - alpha).
 
 Every interior row has dominance gap min(p, 8p/12 + 4r/h**2) >= 2p/3 for
 both schemes, so the pivot-free Thomas solve is safe; the factorization
@@ -56,6 +71,12 @@ from .quadrature import weights_row
 from .special import gamma
 
 __all__ = ["SchemeKind", "SolutionLattice", "solve"]
+
+# Levels per directly summed block of a uniform march: below this the
+# direct weighted sums are cheaper than one more level of FFT merges.
+_LEAF = 128
+# Working memory of one column chunk of an FFT merge, in bytes.
+_MERGE_BYTES = 512 * 1024
 
 
 class SchemeKind(enum.Enum):
@@ -95,6 +116,31 @@ def _dirichlet_factors(off: float, diag_val: float, m: int) -> TridiagonalFactor
     return factor_tridiagonal(lower, diag, upper)
 
 
+def _is_uniform(mesh: TemporalMesh) -> bool:
+    """Whether all steps agree to rounding: max - min <= 1e-12 * mean."""
+    steps = mesh.steps
+    return bool(steps.max() - steps.min() <= 1e-12 * steps.mean())
+
+
+def _add_far_history(dst: np.ndarray, src: np.ndarray, kernel: np.ndarray) -> None:
+    """Add a finished block's Toeplitz history to the next block's rows.
+
+    ``src`` holds the B rows j = 0..B-1 just solved and ``dst`` the (at
+    most B) rows i = 0.. after them; row i gains sum_j kernel[B + i - j]
+    src[j], with ``kernel`` indexed by the level lag.  The causal sum is
+    one linear convolution along time, taken by FFT of length 2B in column
+    chunks whose working memory stays near ``_MERGE_BYTES``.
+    """
+    half = len(src)
+    size = 2 * half
+    kernel_fft = np.fft.rfft(kernel[:size], size)
+    width = max(1, _MERGE_BYTES // (16 * size))
+    for c in range(0, src.shape[1], width):
+        spec = np.fft.rfft(src[:, c : c + width], size, axis=0)
+        spec *= kernel_fft[:, None]
+        dst[:, c : c + width] += np.fft.irfft(spec, size, axis=0)[half : half + len(dst)]
+
+
 def solve(
     problem: ProblemSpec,
     grid: SpatialGrid,
@@ -107,46 +153,78 @@ def solve(
     the solution of the level-n system described in the module docstring.
     Raises ValueError naming the first level that is not finite.
     """
-    alpha, x, h = problem.alpha, grid.x, grid.h
-    u = np.empty((mesh.N + 1, grid.M + 1))
+    alpha, x, h, N = problem.alpha, grid.x, grid.h, mesh.N
+    u = np.zeros((N + 1, grid.M + 1))
     u[0] = np.asarray(problem.phi(x), dtype=float)
     l1 = scheme is SchemeKind.L1
-    f_samples = None
-    if l1:
-        steps = mesh.steps
-        if steps.max() - steps.min() > 1e-12 * steps.mean():
-            raise ValueError("the L1 scheme requires a uniform time mesh")
-        lam = 1.0 / (gamma(2.0 - alpha) * (mesh.T / mesh.N) ** alpha)
-        j = np.arange(mesh.N, dtype=float)
-        b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
-    elif problem.exact_f_conv is None:
-        f_samples = np.empty_like(u)
-        f_samples[0] = problem.f(x, mesh.t[0])
+    uniform = _is_uniform(mesh)
+    if l1 and not uniform:
+        raise ValueError("the L1 scheme requires a uniform time mesh")
+    # Quadrature forcing: g[k] = (f_k + f_{k-1}) / 2 once level k is
+    # reached, and the forcing integral at level n is sum_k a_k g[k].
+    g = None
+    if not l1 and problem.exact_f_conv is None:
+        g = np.zeros_like(u)
+        f_prev = problem.f(x, mesh.t[0])
+    if uniform:
+        # Coefficients depend on the lag n - j only: ``lag`` weighs u^j in
+        # level n's history, ``seed`` u^0, and the reversed kernel row
+        # ``row`` = (A_N, ..., A_1) weighs g.  Rows not yet solved hold
+        # their history from earlier blocks, starting with the u^0 term.
+        if l1:
+            p, r = 1.0 / (gamma(2.0 - alpha) * (mesh.T / N) ** alpha), 1.0
+            j = np.arange(N, dtype=float)
+            seed = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
+            lag = np.concatenate(([0.0], seed[:-1] - seed[1:]))
+        else:
+            row = weights_row(alpha, mesh, N)
+            A = row[::-1]
+            p, r = 1.0, 0.5 * A[0]
+            seed = 0.5 * A
+            lag = np.concatenate(([0.0], 0.5 * (A[:-1] + A[1:])))
+        np.multiply(seed[:, None], u[0], out=u[1:])
+        # A contiguous copy: a reversed view takes another matmul path,
+        # which rounds the L1 sums differently from the direct reference.
+        lag_rev = lag[::-1].copy()
     matrix, factors = None, None
 
-    for n in range(1, mesh.N + 1):
+    lo = 1  # first level of the current block, summed directly
+    for n in range(1, N + 1):
+        done = n - 1
+        if uniform and done and done % _LEAF == 0:
+            # Levels [n - half, n) finished the first half of a block of
+            # 2 * half levels; add their history to the second half.
+            half = done & -done
+            _add_far_history(u[n : n + half], u[n - half : n], lag)
+            if g is not None:
+                _add_far_history(g[n : n + half], g[n - half : n], A)
+            lo = n
         t_n = mesh.t[n]
-        if l1:
-            p, r = lam, 1.0
-            combo = b[n - 1] * u[0]
-            if n > 1:
-                combo = combo + (b[n - 2 :: -1] - b[n - 1 : 0 : -1]) @ u[1:n]
-            forcing = problem.f(x, t_n)
-            history = 0.0
+        if uniform:
+            weights, first = lag_rev[N - 1 - n + lo : N - 1], lo
         else:
-            a = weights_row(alpha, mesh, n).weights
-            p, r = 1.0, 0.5 * a[-1]
-            combo = u[0]
-            if f_samples is None:
-                forcing = problem.exact_f_conv(x, t_n)
-            else:
-                f_samples[n] = problem.f(x, t_n)
-                forcing = a @ (f_samples[1 : n + 1] + f_samples[:n]) / 2.0
-            # a[k - 1] holds a_k; w[j] = (a_j + a_{j+1}) / 2 with a_0 = 0.
-            w = 0.5 * a
-            w[1:] += 0.5 * a[:-1]
-            history = apply_second_diff(w @ u[:n], h)
+            row = weights_row(alpha, mesh, n)
+            p, r = 1.0, 0.5 * row[-1]
+            # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs u^j, j < n.
+            weights = 0.5 * row
+            weights[1:] += 0.5 * row[:-1]
+            first = 0
+        total = u[n] + weights @ u[first:n]
+        if g is None:
+            forcing = problem.f(x, t_n) if l1 else problem.exact_f_conv(x, t_n)
+        else:
+            far = g[n].copy()
+            f_n = problem.f(x, t_n)
+            np.add(f_n, f_prev, out=g[n])
+            g[n] /= 2.0
+            f_prev = f_n
+            # The row's last n - lo + 1 weights pair with g[lo..n].
+            forcing = far + row[len(row) - 1 - n + lo :] @ g[lo : n + 1]
         forcing = np.asarray(forcing, dtype=float)
+        if l1:
+            combo, history = total, 0.0
+        else:
+            combo, history = u[0], apply_second_diff(total, h)
         rhs = p * apply_compact(combo) + apply_compact(forcing) + history
 
         # Rows stay unscaled so L1 keeps its reference rounding: dividing by

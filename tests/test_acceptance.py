@@ -224,7 +224,7 @@ def test_criterion_6_quadrature_oracles():
     for alpha in (0.25, 0.5, 0.75, 0.9):
         for mesh in (uniform_time_mesh(1.0, 32), graded_time_mesh(1.0, 32, 2.0)):
             for n in (1, 13, 32):
-                total = float(np.sum(weights_row(alpha, mesh, n).weights))
+                total = float(np.sum(weights_row(alpha, mesh, n)))
                 expect = mesh.t[n] ** alpha / gamma(1.0 + alpha)
                 tel_ok = tel_ok and abs(total - expect) <= 1e-12 * expect
 

@@ -53,8 +53,17 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             """,
             "ValueError: solution level 1 (t = 0.25) is not finite",
         ),
+        (
+            """
+            import numpy as np
+            from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
+            mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]), T=1.0)
+            solve(manufactured_sin(0.5), SpatialGrid(8), mesh)
+            """,
+            "ValueError: kernel weight a_1 of level 2 is not positive and finite",
+        ),
     ],
-    ids=["weakly-dominant-rows", "nan-forcing"],
+    ids=["weakly-dominant-rows", "nan-forcing", "zero-kernel-weight"],
 )
 def test_check_raises_under_optimized_python(code, message):
     result = _run_optimized("assert False, 'not optimized'\n" + textwrap.dedent(code))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
+from fracheat.meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_mesh
 from fracheat.problems import manufactured_sin
 from fracheat.quadrature import (
     forcing_convolution_profile,
@@ -27,28 +27,40 @@ class TestWeights:
     def test_first_weight_frozen_value(self):
         # alpha = 1/2, tau = 1/10: a_1 = tau**0.5 / Gamma(1.5)
         row = weights_row(0.5, uniform_time_mesh(1.0, 10), 1)
-        assert row.weights.size == 1
-        assert row.weights[0] == pytest.approx(0.35682482323055424, rel=1e-13)
+        assert row.size == 1
+        assert row[0] == pytest.approx(0.35682482323055424, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
     def test_positive(self, alpha):
         for mesh in _meshes():
             for n in (1, mesh.N // 2 + 1, mesh.N):
-                assert np.all(weights_row(alpha, mesh, n).weights > 0.0)
+                assert np.all(weights_row(alpha, mesh, n) > 0.0)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 0.9])
     def test_telescoping_sum(self, alpha):
         # sum_k a_k = t_n**alpha / Gamma(1+alpha) exactly (up to rounding)
         for mesh in _meshes():
             for n in (1, mesh.N // 2 + 1, mesh.N):
-                total = float(np.sum(weights_row(alpha, mesh, n).weights))
+                total = float(np.sum(weights_row(alpha, mesh, n)))
                 expect = mesh.t[n] ** alpha / gamma(1.0 + alpha)
                 assert total == pytest.approx(expect, rel=1e-12)
 
     def test_first_weight_bounded_by_total(self, alpha=0.5):
         for mesh in _meshes():
             row = weights_row(alpha, mesh, mesh.N)
-            assert row.weights[0] <= mesh.T**alpha / gamma(1.0 + alpha)
+            assert row[0] <= mesh.T**alpha / gamma(1.0 + alpha)
+
+    def test_weight_rounding_to_zero_raises(self):
+        # At t_2 = 1 the first step of 1e-300 leaves (1 - 1e-300)**alpha = 1.
+        mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]), T=1.0)
+        assert weights_row(0.5, mesh, 1)[0] > 0.0
+        with pytest.raises(ValueError, match="weight a_1 of level 2 is not positive"):
+            weights_row(0.5, mesh, 2)
+
+    def test_row_is_read_only(self):
+        row = weights_row(0.5, uniform_time_mesh(1.0, 4), 3)
+        with pytest.raises(ValueError):
+            row[0] = 1.0
 
     def test_rejects_bad_level_or_order(self):
         mesh = uniform_time_mesh(1.0, 4)

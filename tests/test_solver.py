@@ -82,7 +82,7 @@ def _elementwise_march(problem, grid, mesh, scheme):
                 combo = combo + (b[n - 2 :: -1] - b[n - 1 : 0 : -1]) @ u[1:n]
             forcing, history = problem.f(x, t_n), 0.0
         else:
-            a = weights_row(alpha, mesh, n).weights
+            a = weights_row(alpha, mesh, n)
             p, r, combo = 1.0, 0.5 * a[-1], u[0]
             if problem.exact_f_conv is not None:
                 forcing = problem.exact_f_conv(x, t_n)
@@ -166,8 +166,11 @@ class TestBothSchemes:
         "scheme, N, grading, factorizations",
         [
             (SchemeKind.L1, 24, 1.0, 1),
-            # Steps of 1/32 are bitwise equal, so every level has one matrix.
+            # Uniform meshes share one kernel row, so one matrix, whether
+            # or not their steps are bitwise equal (1/32 is; 1/40 is not).
             (SchemeKind.TRANSFORMED, 32, 1.0, 1),
+            (SchemeKind.TRANSFORMED, 40, 1.0, 1),
+            (SchemeKind.TRANSFORMED, 640, 1.0, 1),
             (SchemeKind.TRANSFORMED, 24, 2.0, 24),
         ],
     )
@@ -184,6 +187,61 @@ class TestBothSchemes:
         monkeypatch.setattr(fracheat.solver, "factor_tridiagonal", counted)
         solve(manufactured_sin(0.5), SpatialGrid(16), graded_time_mesh(1.0, N, grading), scheme)
         assert len(calls) == factorizations
+
+    @pytest.mark.parametrize("N", [13, 27])
+    @pytest.mark.parametrize(
+        "scheme, problem, closed_form",
+        [
+            (SchemeKind.TRANSFORMED, "sine-decay", True),
+            (SchemeKind.TRANSFORMED, "forced-sine", True),
+            (SchemeKind.TRANSFORMED, "forced-sine", False),
+            (SchemeKind.L1, "sine-decay", True),
+            (SchemeKind.L1, "forced-sine", True),
+        ],
+    )
+    def test_toeplitz_march_matches_dense_oracle(
+        self, monkeypatch, scheme, problem, closed_form, N
+    ):
+        # Blocks of 4 levels and one-column FFT chunks, so uniform solves at
+        # small odd N run merges of 4, 8 and 16 levels, some cut off by N.
+        monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
+        monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
+        alpha = 0.6
+        p = sine_decay(alpha)
+        if problem == "forced-sine":
+            p = dataclasses.replace(manufactured_sin(alpha), phi=p.phi, exact_u=None)
+        if not closed_form:
+            p = dataclasses.replace(p, exact_f_conv=None)
+        M, mesh = 8, uniform_time_mesh(1.0, N)
+        got = solve(p, SpatialGrid(M), mesh, scheme).values
+        np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "grading, closed_form, rows",
+        [(1.0, True, 1), (1.0, False, 1), (2.0, True, 40), (2.0, False, 40)],
+    )
+    def test_kernel_rows_and_forcing_samples_per_solve(
+        self, monkeypatch, grading, closed_form, rows
+    ):
+        row_calls, f_calls = [], []
+        row = fracheat.solver.weights_row
+        base = manufactured_sin(0.5)
+
+        def counted_row(*args):
+            row_calls.append(args)
+            return row(*args)
+
+        def counted_f(x, t):
+            f_calls.append(t)
+            return base.f(x, t)
+
+        monkeypatch.setattr(fracheat.solver, "weights_row", counted_row)
+        p = dataclasses.replace(base, f=counted_f)
+        if not closed_form:
+            p = dataclasses.replace(p, exact_f_conv=None)
+        solve(p, SpatialGrid(8), graded_time_mesh(1.0, 40, grading))
+        assert len(row_calls) == rows
+        assert len(f_calls) == (0 if closed_form else 40 + 1)
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("closed_form", [True, False])
