@@ -19,7 +19,6 @@ from .harness import (
 )
 from .meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_mesh
 from .operators import (
-    GridFunction,
     TridiagonalSystem,
     apply_compact,
     apply_second_diff,
@@ -58,7 +57,6 @@ __all__ = [
     "TemporalMesh",
     "graded_time_mesh",
     "uniform_time_mesh",
-    "GridFunction",
     "TridiagonalSystem",
     "apply_compact",
     "apply_second_diff",

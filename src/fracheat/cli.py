@@ -2,16 +2,19 @@
 
 Two subcommands: ``run`` solves a single problem instance and writes the
 solution, ``converge`` runs a refinement ladder and writes the error
-report.  Usage problems exit with status 2, runtime failures with 1.
+report.  Each renders its report as text here, and ``_emit`` writes it to
+stdout or to the ``--output`` file.  Usage problems exit with status 2,
+runtime failures with 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
-from .harness import ConvergenceReport, SweepConfig, build_time_mesh, parse_mesh_kind, run_sweep
+from .harness import SweepConfig, build_time_mesh, parse_mesh_kind, run_sweep
 from .meshes import SpatialGrid
 from .problems import available_problems, get_problem
 from .solver import SchemeKind, solve
@@ -22,6 +25,8 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         alphas = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad alpha list {text!r}") from None
+    if len(set(alphas)) != len(alphas):
+        raise argparse.ArgumentTypeError(f"repeated alpha in {text!r}")
     return alphas
 
 
@@ -41,11 +46,14 @@ def _parse_ladder(text: str) -> tuple[int, ...]:
             if ladder[-1] != hi:
                 raise ValueError
             return tuple(ladder)
-        return tuple(int(p) for p in text.split(","))
+        counts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad time-step list {text!r} (use N, N1,N2,..., or a:b:x2 with b = a*2^k)"
         ) from None
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"time-step counts must be >= 1, got {text!r}")
+    return counts
 
 
 def _mesh_kind(text: str) -> str:
@@ -97,8 +105,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error(f"alpha must lie in (0, 1), got {alpha:g}")
     if args.spatial_cells < 2:
         parser.error(f"need at least 2 spatial cells, got {args.spatial_cells}")
-    if args.final_time <= 0.0:
-        parser.error(f"final time must be positive, got {args.final_time:g}")
+    if not 0.0 < args.final_time < math.inf:
+        parser.error(f"final time must be positive and finite, got {args.final_time:g}")
     if args.scheme == SchemeKind.L1.value and args.mesh != "uniform":
         parser.error("the l1 scheme supports uniform meshes only")
     if args.command == "run":
@@ -116,36 +124,36 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
+# Per report format: the column separator and each column's format spec.
+# A header cell is aligned like its column, by the spec up to the precision.
+_DUMP_FORMATS = {
+    "csv": (",", {"t": ".10g", "x": ".10g", "u": ".10g"}),
+    "table": ("  ", {"t": ">12.6f", "x": ">12.6f", "u": ">14.6e"}),
+}
+
+
 def _dump_run(args: argparse.Namespace) -> str:
+    """The final-time profile (x, u) or the lattice (t, x, u), one node a line."""
     problem = get_problem(args.problem, args.alpha[0], args.final_time)
     grid = SpatialGrid(args.spatial_cells)
     mesh = build_time_mesh(args.mesh, args.final_time, args.time_steps[0])
     lattice = solve(problem, grid, mesh, SchemeKind(args.scheme))
-    lines = []
     if args.dump == "profile":
-        if args.format == "csv":
-            lines.append("x,u")
-            for x, u in zip(grid.x, lattice.values[-1]):
-                lines.append(f"{x:.10g},{u:.10g}")
-        else:
-            lines.append(f"{'x':>12}  {'u':>14}")
-            for x, u in zip(grid.x, lattice.values[-1]):
-                lines.append(f"{x:>12.6f}  {u:>14.6e}")
+        columns, levels = ("x", "u"), [(None, lattice.values[-1])]
     else:
-        if args.format == "csv":
-            lines.append("t,x,u")
-            for n, t in enumerate(mesh.t):
-                for x, u in zip(grid.x, lattice.values[n]):
-                    lines.append(f"{t:.10g},{x:.10g},{u:.10g}")
-        else:
-            lines.append(f"{'t':>12}  {'x':>12}  {'u':>14}")
-            for n, t in enumerate(mesh.t):
-                for x, u in zip(grid.x, lattice.values[n]):
-                    lines.append(f"{t:>12.6f}  {x:>12.6f}  {u:>14.6e}")
+        columns, levels = ("t", "x", "u"), zip(mesh.t.tolist(), lattice.values)
+    sep, spec = _DUMP_FORMATS[args.format]
+    lines = [sep.join(format(c, spec[c].split(".")[0]) for c in columns)]
+    # Each t and each x is formatted once; lines are built level by level.
+    x_cells = [format(x, spec["x"]) + sep for x in grid.x.tolist()]
+    u_spec = spec["u"]
+    for t, row in levels:
+        prefix = "" if t is None else format(t, spec["t"]) + sep
+        lines += [prefix + x + format(u, u_spec) for x, u in zip(x_cells, row.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def _run_converge(args: argparse.Namespace) -> ConvergenceReport:
+def _converge_report(args: argparse.Namespace) -> str:
     config = SweepConfig(
         alphas=args.alpha,
         M=args.spatial_cells,
@@ -155,10 +163,9 @@ def _run_converge(args: argparse.Namespace) -> ConvergenceReport:
         mesh_kind=args.mesh,
         problem_label=args.problem,
         norm=args.norm,
-        output_path=args.output,
-        format=args.format,
     )
-    return run_sweep(config)
+    report = run_sweep(config)
+    return report.to_csv() if args.format == "csv" else report.to_text()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -166,12 +173,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        if args.command == "run":
-            _emit(_dump_run(args), args.output)
-        else:
-            report = _run_converge(args)
-            if args.output is None:
-                sys.stdout.write(report.render())
+        text = _dump_run(args) if args.command == "run" else _converge_report(args)
+        _emit(text, args.output)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"fracheat: error: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,8 @@ requested fractional order, measures the error against the problem's exact
 solution, and tags each refinement with its observed rate
 log2(E(N/2) / E(N)) whenever the ladder actually doubled.  Reports render
 to CSV (machine-readable, stable column set) or to an aligned text table
-with one block per order.
+with one block per order.  The harness writes no files: choosing a format
+and a destination is the command line's job.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_mesh
+from .meshes import SpatialGrid, TemporalMesh, graded_time_mesh
 from .operators import norm_energy, norm_l2
 from .problems import get_problem
 from .solver import SchemeKind, SolutionLattice, solve
@@ -95,17 +96,14 @@ def parse_mesh_kind(mesh_kind: str) -> float:
             r = float(mesh_kind.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad grading exponent in {mesh_kind!r}") from None
-        if r < 1.0:
-            raise ValueError(f"grading exponent must be >= 1, got {r}")
+        if not 1.0 <= r < np.inf:
+            raise ValueError(f"grading exponent must be finite and >= 1, got {r}")
         return r
     raise ValueError(f"unknown mesh kind {mesh_kind!r} (use uniform or graded:<r>)")
 
 
 def build_time_mesh(mesh_kind: str, T: float, N: int) -> TemporalMesh:
-    r = parse_mesh_kind(mesh_kind)
-    if r == 1.0:
-        return uniform_time_mesh(T, N)
-    return graded_time_mesh(T, N, r)
+    return graded_time_mesh(T, N, parse_mesh_kind(mesh_kind))
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,7 @@ class SweepConfig:
 
     ``Ns`` is consumed in order; a row gets a rate exactly when the
     previous row of the same alpha used half its step count.  ``norm``
-    selects the error measure (max, a, or l2).
+    selects the error measure (max, a, or l2).  Each alpha may appear once.
     """
 
     alphas: tuple[float, ...]
@@ -125,14 +123,12 @@ class SweepConfig:
     mesh_kind: str = "uniform"
     problem_label: str = "manufactured-sin"
     norm: str = "max"
-    output_path: Optional[str] = None
-    format: str = "csv"
 
     def __post_init__(self) -> None:
         if len(self.alphas) == 0 or len(self.Ns) == 0:
             raise ValueError("need at least one alpha and one N")
-        if self.format not in ("csv", "table"):
-            raise ValueError(f"unknown format {self.format!r}")
+        if len(set(self.alphas)) != len(self.alphas):
+            raise ValueError(f"repeated alpha in {self.alphas}")
         parse_mesh_kind(self.mesh_kind)  # fail fast on bad mesh strings
         if self.norm not in ("max", "a", "l2"):
             raise ValueError(f"unknown norm {self.norm!r}")
@@ -183,17 +179,14 @@ class ConvergenceReport:
             out.append("")
         return "\n".join(out)
 
-    def render(self) -> str:
-        return self.to_csv() if self.config.format == "csv" else self.to_text()
-
 
 def run_sweep(config: SweepConfig) -> ConvergenceReport:
     """Run the whole ladder sequentially and collect one row per solve.
 
     Rows appear in (alpha, N) iteration order, so repeated runs produce
     identical numeric columns; only ``wall_seconds`` varies between runs.
-    If ``output_path`` is set the rendered report is also written there
-    (UTF-8, LF line endings).
+    The report is returned, not written: render it with ``to_csv`` or
+    ``to_text``.
     """
     grid = SpatialGrid(config.M)
     rows: list[ReportRow] = []
@@ -226,8 +219,4 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             )
             rows.append(row)
             prev = row
-    report = ConvergenceReport(config=config, rows=tuple(rows))
-    if config.output_path is not None:
-        with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.render())
-    return report
+    return ConvergenceReport(config=config, rows=tuple(rows))

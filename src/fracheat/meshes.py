@@ -66,6 +66,15 @@ class TemporalMesh:
         return np.diff(self.t)
 
 
+def _unit_levels(T: float, N: int) -> np.ndarray:
+    """Levels n/N, n = 0..N, of a mesh on [0, T], after checking T and N."""
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"final time must be positive and finite, got T={T}")
+    if N < 1:
+        raise ValueError(f"need at least one step, got N={N}")
+    return np.arange(N + 1, dtype=float) / N
+
+
 def uniform_time_mesh(T: float, N: int) -> TemporalMesh:
     """Uniform mesh t_n = T*n/N.
 
@@ -73,12 +82,7 @@ def uniform_time_mesh(T: float, N: int) -> TemporalMesh:
     size, so t_N equals T exactly and refining N keeps shared levels
     bit-identical.
     """
-    if T <= 0.0:
-        raise ValueError(f"final time must be positive, got T={T}")
-    if N < 1:
-        raise ValueError(f"need at least one step, got N={N}")
-    n = np.arange(N + 1, dtype=float)
-    return TemporalMesh(t=T * (n / N), T=T)
+    return TemporalMesh(t=T * _unit_levels(T, N), T=T)
 
 
 def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
@@ -88,13 +92,8 @@ def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
     bit for bit.  r > 1 compresses early steps to compensate the kernel
     singularity; r < 1 is rejected because it would do the opposite.
     """
-    if r < 1.0:
-        raise ValueError(f"grading exponent must satisfy r >= 1, got r={r}")
+    if not 1.0 <= r < np.inf:
+        raise ValueError(f"grading exponent must be finite and satisfy r >= 1, got r={r}")
     if r == 1.0:
         return uniform_time_mesh(T, N)
-    if T <= 0.0:
-        raise ValueError(f"final time must be positive, got T={T}")
-    if N < 1:
-        raise ValueError(f"need at least one step, got N={N}")
-    n = np.arange(N + 1, dtype=float)
-    return TemporalMesh(t=T * (n / N) ** r, T=T)
+    return TemporalMesh(t=T * _unit_levels(T, N) ** r, T=T)

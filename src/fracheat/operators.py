@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "GridFunction",
     "apply_compact",
     "apply_second_diff",
     "norm_l2",
@@ -37,11 +36,7 @@ __all__ = [
     "solve_tridiagonal",
 ]
 
-# Nodal values on a SpatialGrid, shape (M+1,).
-GridFunction = np.ndarray
-
-
-def apply_compact(v: GridFunction) -> GridFunction:
+def apply_compact(v: np.ndarray) -> np.ndarray:
     """Compact average: (v[i-1] + 10 v[i] + v[i+1]) / 12 at interior nodes.
 
     Boundary entries are returned unchanged.
@@ -51,26 +46,26 @@ def apply_compact(v: GridFunction) -> GridFunction:
     return out
 
 
-def apply_second_diff(v: GridFunction, h: float) -> GridFunction:
+def apply_second_diff(v: np.ndarray, h: float) -> np.ndarray:
     """Centered second difference at interior nodes, zero at the boundary."""
     out = np.zeros_like(v, dtype=float)
     out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
     return out
 
 
-def norm_l2(v: GridFunction, h: float) -> float:
+def norm_l2(v: np.ndarray, h: float) -> float:
     """Discrete L2 norm sqrt(h * sum_{i=1}^{M-1} v_i**2) over interior nodes."""
     w = v[1:-1]
     return float(np.sqrt(h * np.dot(w, w)))
 
 
-def seminorm_h1(v: GridFunction, h: float) -> float:
+def seminorm_h1(v: np.ndarray, h: float) -> float:
     """Discrete H1 seminorm sqrt(h * sum_{i=1}^{M} ((v_i - v_{i-1})/h)**2)."""
     d = np.diff(v) / h
     return float(np.sqrt(h * np.dot(d, d)))
 
 
-def norm_energy(v: GridFunction, h: float) -> float:
+def norm_energy(v: np.ndarray, h: float) -> float:
     """Energy norm induced by the compact stencil.
 
     Defined by  |v|_E**2 = |grad v|**2 - (h**2/12) * h * sum (d2 v_i)**2

@@ -89,3 +89,35 @@ def fractional_integral_quad(g, alpha: float, t: float) -> float:
 
     val, _ = quad(integrand, 0.0, t**alpha, limit=400)
     return val / math.gamma(alpha + 1.0)
+
+
+def dump_text(x, t, values, dump: str, fmt: str) -> str:
+    """The ``fracheat run`` report written as four explicit branches.
+
+    ``dump`` is ``profile`` (the last row of ``values`` against ``x``) or
+    ``lattice`` (every row, each against its level ``t``); ``fmt`` is
+    ``csv`` or ``table``.  The CLI's column-driven row writer must
+    reproduce this byte for byte.
+    """
+    lines = []
+    if dump == "profile":
+        if fmt == "csv":
+            lines.append("x,u")
+            for xi, u in zip(x, values[-1]):
+                lines.append(f"{xi:.10g},{u:.10g}")
+        else:
+            lines.append(f"{'x':>12}  {'u':>14}")
+            for xi, u in zip(x, values[-1]):
+                lines.append(f"{xi:>12.6f}  {u:>14.6e}")
+    else:
+        if fmt == "csv":
+            lines.append("t,x,u")
+            for n, tn in enumerate(t):
+                for xi, u in zip(x, values[n]):
+                    lines.append(f"{tn:.10g},{xi:.10g},{u:.10g}")
+        else:
+            lines.append(f"{'t':>12}  {'x':>12}  {'u':>14}")
+            for n, tn in enumerate(t):
+                for xi, u in zip(x, values[n]):
+                    lines.append(f"{tn:>12.6f}  {xi:>12.6f}  {u:>14.6e}")
+    return "\n".join(lines) + "\n"

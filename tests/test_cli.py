@@ -1,6 +1,11 @@
 import pytest
 
 from fracheat.cli import main
+from fracheat.harness import SweepConfig, run_sweep
+from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
+from fracheat.problems import manufactured_sin
+from fracheat.solver import solve
+from oracles import dump_text
 
 
 def _lines(capsys):
@@ -73,6 +78,54 @@ class TestConverge:
         assert "error" in capsys.readouterr().err
 
 
+class TestConvergeOutputFile:
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_matches_the_report(self, fmt, tmp_path, capsys):
+        path = tmp_path / "report.txt"
+        rc = main([
+            "converge", "--alpha", "0.25,0.75", "--spatial-cells", "8",
+            "--time-steps", "2:8:x2", "--mesh", "graded:2", "--norm", "l2",
+            "--format", fmt, "--output", str(path),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        report = run_sweep(SweepConfig(
+            alphas=(0.25, 0.75), M=8, Ns=(2, 4, 8), mesh_kind="graded:2", norm="l2",
+        ))
+        written = path.read_bytes().decode("utf-8")
+        if fmt == "csv":
+            # wall_seconds, the last column, is the only one that varies
+            def mask(text):
+                return [line.rsplit(",", 1)[0] for line in text.split("\n")]
+            assert mask(written) == mask(report.to_csv())
+        else:
+            assert written == report.to_text()
+
+
+class TestRunBytes:
+    """``run`` output pinned byte for byte to the four-branch oracle."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("dump", ["profile", "lattice"])
+    @pytest.mark.parametrize(
+        "mesh_arg, N, mesh",
+        [
+            ("uniform", 9, lambda N: uniform_time_mesh(1.0, N)),
+            ("graded:2", 7, lambda N: graded_time_mesh(1.0, N, 2.0)),
+        ],
+    )
+    def test_matches_oracle(self, mesh_arg, N, mesh, dump, fmt, capsys):
+        rc = main([
+            "run", "--alpha", "0.5", "--spatial-cells", "10", "--time-steps", str(N),
+            "--mesh", mesh_arg, "--dump", dump, "--format", fmt,
+        ])
+        assert rc == 0
+        grid, m = SpatialGrid(10), mesh(N)
+        lattice = solve(manufactured_sin(0.5), grid, m)
+        expected = dump_text(grid.x, m.t, lattice.values, dump, fmt)
+        assert capsys.readouterr().out == expected
+
+
 class TestRun:
     def test_zero_problem_profile(self, capsys):
         rc = main([
@@ -123,6 +176,13 @@ class TestUsageErrors:
             ["converge", "--alpha", "0.5", "--time-steps", "8", "--final-time", "-1"],
             ["missing-subcommand"],
             ["run", "--alpha", "0.5", "--time-steps", "8", "--norm", "l2"],
+            ["converge", "--alpha", "0.5", "--time-steps", "8", "--final-time", "nan"],
+            ["converge", "--alpha", "0.5", "--time-steps", "8", "--final-time", "inf"],
+            ["run", "--alpha", "0.5", "--time-steps", "8", "--mesh", "graded:nan"],
+            ["run", "--alpha", "0.5", "--time-steps", "8", "--mesh", "graded:inf"],
+            ["converge", "--alpha", "0.5", "--time-steps", "0,4"],
+            ["converge", "--alpha", "0.5,0.5", "--time-steps", "4,8"],
+            ["converge", "--alpha", "0.5", "--time-steps", "8", "--format", "json"],
         ],
     )
     def test_exit_code_two(self, argv, capsys):
@@ -130,6 +190,23 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err != ""
+
+    @pytest.mark.parametrize(
+        "option, value, cause",
+        [
+            ("--final-time", "nan", "final time must be positive and finite, got nan"),
+            ("--final-time", "inf", "final time must be positive and finite, got inf"),
+            ("--mesh", "graded:nan", "grading exponent must be finite and >= 1, got nan"),
+            ("--mesh", "graded:inf", "grading exponent must be finite and >= 1, got inf"),
+            ("--time-steps", "0,4", "time-step counts must be >= 1, got '0,4'"),
+            ("--alpha", "0.5,0.5", "repeated alpha in '0.5,0.5'"),
+        ],
+    )
+    def test_message_names_the_input(self, option, value, cause, capsys):
+        # a repeated option overrides the earlier one
+        with pytest.raises(SystemExit):
+            main(["converge", "--alpha", "0.5", "--time-steps", "8", option, value])
+        assert cause in capsys.readouterr().err
 
     def test_ladder_doubling_accepted(self, capsys):
         rc = main([

@@ -101,7 +101,9 @@ class TestMeshKindParsing:
     def test_graded(self):
         assert parse_mesh_kind("graded:2.5") == 2.5
 
-    @pytest.mark.parametrize("bad", ["graded:", "graded:abc", "graded:0.5", "random"])
+    @pytest.mark.parametrize(
+        "bad", ["graded:", "graded:abc", "graded:0.5", "graded:nan", "graded:inf", "random"]
+    )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_mesh_kind(bad)
@@ -153,14 +155,6 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown problem"):
             run_sweep(cfg)
 
-    def test_writes_output_file(self, tmp_path):
-        path = tmp_path / "report.csv"
-        cfg = SweepConfig(alphas=(0.5,), M=8, Ns=(4, 8), output_path=str(path))
-        report = run_sweep(cfg)
-        data = path.read_bytes()
-        assert b"\r" not in data
-        assert data.decode("utf-8") == report.to_csv()
-
 
 class TestReportFormats:
 
@@ -195,11 +189,6 @@ class TestReportFormats:
         # four-decimal rates
         assert re.search(r"\d\.\d{4}\n", text + "\n")
 
-    def test_render_respects_format(self):
-        cfg = SweepConfig(alphas=(0.5,), M=8, Ns=(4,), format="table")
-        report = run_sweep(cfg)
-        assert "alpha = 0.5" in report.render()
-
 
 class TestSweepConfigValidation:
     def test_rejects_empty(self):
@@ -208,9 +197,9 @@ class TestSweepConfigValidation:
         with pytest.raises(ValueError):
             SweepConfig(alphas=(0.5,), M=8, Ns=())
 
-    def test_rejects_bad_format(self):
-        with pytest.raises(ValueError):
-            SweepConfig(alphas=(0.5,), M=8, Ns=(4,), format="json")
+    def test_rejects_repeated_alpha(self):
+        with pytest.raises(ValueError, match="repeated alpha"):
+            SweepConfig(alphas=(0.5, 0.25, 0.5), M=8, Ns=(4,))
 
     def test_rejects_bad_norm(self):
         with pytest.raises(ValueError):

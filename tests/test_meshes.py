@@ -48,6 +48,11 @@ class TestUniformMesh:
         with pytest.raises(ValueError):
             uniform_time_mesh(T, N)
 
+    @pytest.mark.parametrize("T", [float("nan"), float("inf")])
+    def test_rejects_non_finite_final_time(self, T):
+        with pytest.raises(ValueError, match="final time"):
+            uniform_time_mesh(T, 4)
+
 
 class TestGradedMesh:
     def test_cubic_grading(self):
@@ -73,6 +78,20 @@ class TestGradedMesh:
     def test_rejects_compressing_exponent(self):
         with pytest.raises(ValueError):
             graded_time_mesh(1.0, 4, 0.5)
+
+    @pytest.mark.parametrize(
+        "T,r,cause",
+        [
+            (float("nan"), 2.0, "final time"),
+            (float("inf"), 2.0, "final time"),
+            (float("inf"), 1.0, "final time"),
+            (1.0, float("nan"), "grading exponent"),
+            (1.0, float("inf"), "grading exponent"),
+        ],
+    )
+    def test_rejects_non_finite(self, T, r, cause):
+        with pytest.raises(ValueError, match=cause):
+            graded_time_mesh(T, 4, r)
 
 
 class TestTemporalMeshValidation:
