@@ -1,10 +1,11 @@
 """Transformed scheme versus the classical L1 discretization, side by side.
 
 Both schemes share the same compact fourth-order spatial operator and the
-same tridiagonal solve per step; they differ only in how the memory term
-is discretized.  The transformed scheme integrates the Volterra kernel
-exactly against a piecewise-linear reconstruction (order 1 + alpha),
-while L1 differences the Caputo derivative directly (order 2 - alpha).
+same level solve per step (one division per discrete sine mode); they
+differ only in how the memory term is discretized.  The transformed
+scheme integrates the Volterra kernel exactly against a piecewise-linear
+reconstruction (order 1 + alpha), while L1 differences the Caputo
+derivative directly (order 2 - alpha).
 For alpha = 0.75 that is 1.75 versus 1.25, and the error ratio grows with
 every halving of the step.
 """

@@ -18,15 +18,7 @@ from .harness import (
     run_sweep,
 )
 from .meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_mesh
-from .operators import (
-    TridiagonalSystem,
-    apply_compact,
-    apply_second_diff,
-    norm_energy,
-    norm_l2,
-    seminorm_h1,
-    solve_tridiagonal,
-)
+from .operators import TridiagonalSystem, apply_compact, norm_energy, solve_tridiagonal
 from .problems import (
     ProblemSpec,
     SeriesSolution,
@@ -59,10 +51,7 @@ __all__ = [
     "uniform_time_mesh",
     "TridiagonalSystem",
     "apply_compact",
-    "apply_second_diff",
     "norm_energy",
-    "norm_l2",
-    "seminorm_h1",
     "solve_tridiagonal",
     "ProblemSpec",
     "SeriesSolution",

@@ -11,11 +11,11 @@ spatial structure of the schemes lives in two stencils:
 Both act on interior nodes only; the compact average passes boundary
 values through unchanged and the second difference returns zeros there.
 
-Tridiagonal systems are solved by the Thomas algorithm in two steps: the
-factorization (``factor_tridiagonal``) validates the bands and runs the
-forward elimination once per matrix, and ``TridiagonalFactors.solve``
-runs the forward and back substitution, two O(n) sweeps on Python floats,
-per right-hand side.  ``solve_tridiagonal`` is the two steps in a row.
+``TridiagonalSystem`` and ``solve_tridiagonal`` solve a strictly
+diagonally dominant tridiagonal system by the Thomas algorithm.  ``solve``
+does not use them: with pinned ends both stencils are diagonal in the
+discrete sine basis, so its levels are solved mode by mode (see
+``solver``).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ __all__ = [
     "seminorm_h1",
     "norm_energy",
     "TridiagonalSystem",
-    "TridiagonalFactors",
-    "factor_tridiagonal",
     "solve_tridiagonal",
 ]
 
@@ -85,25 +83,6 @@ def norm_energy(v: np.ndarray, h: float) -> float:
     return float(np.sqrt(rad))
 
 
-def _check_bands(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
-    """Band lengths, finiteness and strict row dominance, or ValueError."""
-    n = diag.size
-    if lower.size != n - 1 or upper.size != n - 1:
-        raise ValueError("inconsistent band lengths")
-    for name, band in (("lower", lower), ("diag", diag), ("upper", upper)):
-        bad = np.flatnonzero(~np.isfinite(band))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"{name} band entry {i} is not finite ({band[i]})")
-    off = np.zeros(n)
-    off[:-1] += np.abs(upper)
-    off[1:] += np.abs(lower)
-    gap = np.abs(diag) - off
-    if not np.all(gap > 0.0):
-        i = int(np.argmin(gap))
-        raise ValueError(f"row {i} is not strictly diagonally dominant (gap {gap[i]})")
-
-
 @dataclass(frozen=True)
 class TridiagonalSystem:
     """A strictly diagonally dominant tridiagonal system A u = b.
@@ -120,70 +99,44 @@ class TridiagonalSystem:
     rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rhs.size != self.diag.size:
+        lower, diag, upper = self.lower, self.diag, self.upper
+        n = diag.size
+        if lower.size != n - 1 or upper.size != n - 1 or self.rhs.size != n:
             raise ValueError("inconsistent band lengths")
-        _check_bands(self.lower, self.diag, self.upper)
+        for name, band in (("lower", lower), ("diag", diag), ("upper", upper)):
+            bad = np.flatnonzero(~np.isfinite(band))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(f"{name} band entry {i} is not finite ({band[i]})")
+        off = np.zeros(n)
+        off[:-1] += np.abs(upper)
+        off[1:] += np.abs(lower)
+        gap = np.abs(diag) - off
+        if not np.all(gap > 0.0):
+            i = int(np.argmin(gap))
+            raise ValueError(f"row {i} is not strictly diagonally dominant (gap {gap[i]})")
 
 
-@dataclass(frozen=True)
-class TridiagonalFactors:
-    """Pivot-free LU factors of a tridiagonal matrix, as Python floats.
+def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
+    """Solve A u = b by the Thomas algorithm (no pivoting) on Python floats.
 
-    ``pivots[i]`` is the i-th pivot of the forward sweep, ``ratios[i]`` the
-    multiplier upper[i] / pivots[i], and ``lower`` the subdiagonal.  They
-    depend on the bands only, so one factorization serves every right-hand
-    side of the same matrix.
+    Row dominance keeps every pivot away from zero; a vanishing pivot
+    therefore means the bands changed after construction, and raises.
     """
-
-    lower: list[float]
-    pivots: list[float]
-    ratios: list[float]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Forward and back substitution for one right-hand side."""
-        piv, c = self.pivots, self.ratios
-        b = np.asarray(rhs, dtype=float).tolist()
-        if len(b) != len(piv):
-            raise ValueError(f"right-hand side has {len(b)} rows, matrix has {len(piv)}")
-        d = b[0] / piv[0]
-        y = [d]
-        for low, p, r in zip(self.lower, piv[1:], b[1:]):
-            d = (r - low * d) / p
-            y.append(d)
-        for i in range(len(y) - 2, -1, -1):
-            d = y[i] - c[i] * d
-            y[i] = d
-        return np.array(y)
-
-
-def _eliminate(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> TridiagonalFactors:
-    """Forward sweep of the Thomas algorithm on the bands alone.
-
-    Row dominance guarantees every pivot stays bounded away from zero; a
-    vanishing pivot therefore indicates a corrupted system and raises.
-    """
-    low, dia, up = lower.tolist(), diag.tolist(), upper.tolist()
+    low, dia, up, b = (
+        np.asarray(a, dtype=float).tolist()
+        for a in (system.lower, system.diag, system.upper, system.rhs)
+    )
     piv = dia[0]
     if abs(piv) < 1e-300:
         raise ValueError("zero pivot in row 0")
-    pivots, ratios = [piv], []
+    ratios, u = [], [b[0] / piv]
     for i in range(1, len(dia)):
         ratios.append(up[i - 1] / piv)
         piv = dia[i] - low[i - 1] * ratios[-1]
         if abs(piv) < 1e-300:
             raise ValueError(f"zero pivot in row {i}")
-        pivots.append(piv)
-    return TridiagonalFactors(lower=low, pivots=pivots, ratios=ratios)
-
-
-def factor_tridiagonal(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
-) -> TridiagonalFactors:
-    """Validate the bands as ``TridiagonalSystem`` does, then factor them once."""
-    _check_bands(lower, diag, upper)
-    return _eliminate(lower, diag, upper)
-
-
-def solve_tridiagonal(system: TridiagonalSystem) -> np.ndarray:
-    """Solve A u = b by the Thomas algorithm (no pivoting): factor, then substitute."""
-    return _eliminate(system.lower, system.diag, system.upper).solve(system.rhs)
+        u.append((b[i] - low[i - 1] * u[-1]) / piv)
+    for i in range(len(u) - 2, -1, -1):
+        u[i] -= ratios[i] * u[i + 1]
+    return np.array(u)

@@ -55,8 +55,8 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.T <= 0.0:
-            raise ValueError(f"final time must be positive, got T={self.T}")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"final time must be positive and finite, got T={self.T}")
         ends = np.asarray(self.phi(np.array([0.0, 1.0])), dtype=float)
         if np.max(np.abs(ends)) > 1e-12:
             raise ValueError("initial data must vanish at both boundaries")

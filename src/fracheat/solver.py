@@ -6,9 +6,16 @@ level n solves
 
     (p H - r D2) u^n = rhs^n,    u^n_0 = u^n_M = 0,
 
-by two O(M) substitution sweeps, after one weighted sum over the history.
-The level matrix p H - r D2 is factored only when (p, r) changes: once
-per solve on a uniform mesh, once per level on a graded one.
+after one weighted sum over the history.  On the unit interval with
+pinned ends, H and D2 are both diagonal in the discrete sine basis
+sin(m pi x_i), m = 1..M-1, with eigenvalues eta_m = 1 - s_m / 3 and
+-mu_m = -4 s_m / h**2, s_m = sin(m pi h / 2)**2.  So the whole march runs
+on sine coefficients, and each level is M - 1 scalar divisions.  The
+initial data and each level's forcing are transformed in (a DST-I by FFT
+of the odd extension), and the finished levels are transformed out once.
+The odd extension drops the boundary values of phi, which ``ProblemSpec``
+bounds by 1e-12; the forcing is averaged by H in physical space first, so
+its boundary values still reach rows 1 and M-1.
 
 On a uniform mesh (steps equal to 1e-12 relative) every weight of either
 scheme depends only on the lag n - j, so the history is a causal Toeplitz
@@ -45,11 +52,10 @@ and sum the whole history directly.  The schemes are:
       rhs^n = lambda H (b_{n-1} u^0 + sum_{0<j<n} (b_{n-j-1} - b_{n-j}) u^j)
               + H f(t_n),    b_j = (j + 1)**(1 - alpha) - j**(1 - alpha).
 
-Every interior row has dominance gap min(p, 8p/12 + 4r/h**2) >= 2p/3 for
-both schemes, so the pivot-free Thomas solve is safe; the factorization
-checks the dominance of every matrix it factors.  A non-finite level can
-only come from non-finite (or overflowing) forcing or initial data, and
-``solve`` names the first one instead of returning it.
+The transforms mix nodes within a level but never across levels, so a
+non-finite level can still only come from non-finite (or overflowing)
+forcing or initial data, and ``solve`` names the first one instead of
+returning it.
 """
 
 from __future__ import annotations
@@ -60,12 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meshes import SpatialGrid, TemporalMesh
-from .operators import (
-    TridiagonalFactors,
-    apply_compact,
-    apply_second_diff,
-    factor_tridiagonal,
-)
+from .operators import apply_compact
 from .problems import ProblemSpec
 from .quadrature import weights_row
 from .special import gamma
@@ -75,7 +76,8 @@ __all__ = ["SchemeKind", "SolutionLattice", "solve"]
 # Levels per directly summed block of a uniform march: below this the
 # direct weighted sums are cheaper than one more level of FFT merges.
 _LEAF = 128
-# Working memory of one column chunk of an FFT merge, in bytes.
+# Working memory of one chunk of an FFT merge or of the final sine
+# transform, in bytes.
 _MERGE_BYTES = 512 * 1024
 
 
@@ -105,15 +107,46 @@ class SolutionLattice:
             raise ValueError("computed levels must satisfy the boundary pinning")
 
 
-def _dirichlet_factors(off: float, diag_val: float, m: int) -> TridiagonalFactors:
-    """Factors of constant-coefficient interior rows with pinned boundary rows."""
-    lower = np.full(m, off)
-    upper = np.full(m, off)
-    diag = np.full(m + 1, diag_val)
-    diag[0] = diag[-1] = 1.0
-    upper[0] = 0.0
-    lower[-1] = 0.0
-    return factor_tridiagonal(lower, diag, upper)
+def _sine(v: np.ndarray) -> np.ndarray:
+    """DST-I of the interior entries of ``v`` along its last axis.
+
+    Entry m of the result, 0 < m < M, is sum_{0<i<M} v_i sin(pi m i / M):
+    minus half the imaginary part of the real FFT of the odd extension
+    (0, v_1, ..., v_{M-1}, 0, -v_{M-1}, ..., -v_1).  Boundary entries of
+    ``v`` are ignored and come out as +0.0.  The transform is its own
+    inverse up to a factor: ``_sine(_sine(v)) * (2 / M)`` restores the
+    interior of ``v``.
+    """
+    m = v.shape[-1] - 1
+    odd = np.zeros(v.shape[:-1] + (2 * m,))
+    odd[..., 1:m] = v[..., 1:m]
+    odd[..., m + 1 :] = -v[..., m - 1 : 0 : -1]
+    out = np.zeros(v.shape)
+    # Adding +0.0 turns the -0.0 that an all-zero input gives into +0.0.
+    out[..., 1:m] = np.fft.rfft(odd)[..., 1:m].imag * -0.5 + 0.0
+    return out
+
+
+def _denominators(p: float, r: float, h: float, s: np.ndarray) -> np.ndarray:
+    """Eigenvalues of p H - r D2 on the sine modes, from its rounded rows.
+
+    The interior rows are (off, diag, off) with off = p/12 - q,
+    diag = 10p/12 + 2q and q = r/h**2; mode m has the eigenvalue
+    (diag + 2 off) - 4 off s_m, s_m = sin(m pi h / 2)**2.  Taking it from
+    the rows as they round reproduces a banded solve of those rows: at
+    fine h, p/12 - q loses digits, and the plain p eta_m + r mu_m would
+    move L1 lattices at M = 2000 by up to 4.4e-11.  The value lies
+    between diag + 2 off = p and diag - 2 off = 2p/3 + 4q, so it is positive
+    for every p > 0 and r >= 0.  When off < 0 both terms are nonnegative
+    (rounding keeps diag >= -2 off), so the low modes suffer no
+    cancellation.  Entries 0 and M, whose coefficients are zero, are 1.
+    """
+    q = r / (h * h)
+    off = p / 12.0 - q
+    diag = 10.0 * p / 12.0 + 2.0 * q
+    den = (diag + 2.0 * off) - 4.0 * off * s
+    den[[0, -1]] = 1.0
+    return den
 
 
 def _is_uniform(mesh: TemporalMesh) -> bool:
@@ -153,9 +186,14 @@ def solve(
     the solution of the level-n system described in the module docstring.
     Raises ValueError naming the first level that is not finite.
     """
-    alpha, x, h, N = problem.alpha, grid.x, grid.h, mesh.N
-    u = np.zeros((N + 1, grid.M + 1))
-    u[0] = np.asarray(problem.phi(x), dtype=float)
+    alpha, x, h, M, N = problem.alpha, grid.x, grid.h, grid.M, mesh.N
+    phi = np.asarray(problem.phi(x), dtype=float)
+    s = np.sin(0.5 * np.pi * h * np.arange(M + 1)) ** 2
+    eta = 1.0 - s / 3.0
+    # Rows hold sine coefficients until the march is done.  Row 0 holds
+    # those of phi, which graded meshes sum from j = 0.
+    u = np.zeros((N + 1, M + 1))
+    u[0] = _sine(phi)
     l1 = scheme is SchemeKind.L1
     uniform = _is_uniform(mesh)
     if l1 and not uniform:
@@ -183,10 +221,14 @@ def solve(
             seed = 0.5 * A
             lag = np.concatenate(([0.0], 0.5 * (A[:-1] + A[1:])))
         np.multiply(seed[:, None], u[0], out=u[1:])
-        # A contiguous copy: a reversed view takes another matmul path,
-        # which rounds the L1 sums differently from the direct reference.
-        lag_rev = lag[::-1].copy()
-    matrix, factors = None, None
+        lag_rev = lag[::-1]
+        den = _denominators(p, r, h, s)
+    # Level n's coefficients are (base + F^n + gain T^n) / den, with T^n
+    # its history sum and F^n the transformed H forcing.
+    if l1:
+        gain, base = p * eta, 0.0
+    else:
+        gain, base = -4.0 * s / (h * h), eta * u[0]
 
     lo = 1  # first level of the current block, summed directly
     for n in range(1, N + 1):
@@ -204,7 +246,7 @@ def solve(
             weights, first = lag_rev[N - 1 - n + lo : N - 1], lo
         else:
             row = weights_row(alpha, mesh, n)
-            p, r = 1.0, 0.5 * row[-1]
+            den = _denominators(1.0, 0.5 * row[-1], h, s)
             # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs u^j, j < n.
             weights = 0.5 * row
             weights[1:] += 0.5 * row[:-1]
@@ -220,25 +262,15 @@ def solve(
             f_prev = f_n
             # The row's last n - lo + 1 weights pair with g[lo..n].
             forcing = far + row[len(row) - 1 - n + lo :] @ g[lo : n + 1]
-        forcing = np.asarray(forcing, dtype=float)
-        if l1:
-            combo, history = total, 0.0
-        else:
-            combo, history = u[0], apply_second_diff(total, h)
-        rhs = p * apply_compact(combo) + apply_compact(forcing) + history
+        u[n] = (base + _sine(apply_compact(forcing)) + gain * total) / den
 
-        # Rows stay unscaled so L1 keeps its reference rounding: dividing by
-        # p avoids the cancellation in p/12 - q at fine h but moves L1
-        # lattices by about 4e-11.
-        q = r / (h * h)
-        off = p / 12.0 - q
-        diag_val = 10.0 * p / 12.0 + 2.0 * q
-        if (off, diag_val) != matrix:
-            matrix = (off, diag_val)
-            factors = _dirichlet_factors(off, diag_val, grid.M)
-        rhs[0] = rhs[-1] = 0.0
-        u[n] = factors.solve(rhs)
-
+    # Back to nodal values, in chunks whose transform temporaries (odd
+    # extension, spectrum, result: about 64 M bytes a row) stay near
+    # ``_MERGE_BYTES``.  Row 0 gets phi as sampled.
+    rows = max(1, _MERGE_BYTES // (64 * M))
+    for c in range(1, N + 1, rows):
+        u[c : c + rows] = _sine(u[c : c + rows]) * (2.0 / M)
+    u[0] = phi
     # A NaN or infinity in a level shows in that level's max or min.
     finite = np.isfinite(u.max(axis=1)) & np.isfinite(u.min(axis=1))
     if not finite.all():

@@ -7,7 +7,6 @@ from fracheat.operators import (
     TridiagonalSystem,
     apply_compact,
     apply_second_diff,
-    factor_tridiagonal,
     norm_energy,
     norm_l2,
     seminorm_h1,
@@ -193,16 +192,12 @@ class TestTridiagonalSolve:
     @pytest.mark.parametrize("M", [8, 100, 2000])
     @pytest.mark.parametrize("q", [0.01, 1.0, 100.0, 1e6])
     def test_scheme_shaped_rows_bitwise_match_elementwise_thomas(self, M, q):
-        # One factorization serves several right-hand sides, each solved
-        # exactly as the interleaved element-wise loop solves it.
         rng = np.random.default_rng(M + int(q))
         bands = _scheme_shaped_bands(M, q)
-        factors = factor_tridiagonal(*bands)
         for _ in range(3):
             rhs = rng.standard_normal(M + 1)
             rhs[0] = rhs[-1] = 0.0
             ref = thomas_elementwise(*bands, rhs)
-            assert np.array_equal(factors.solve(rhs), ref)
             assert np.array_equal(
                 solve_tridiagonal(TridiagonalSystem(*bands, rhs=rhs)), ref
             )
@@ -213,21 +208,14 @@ class TestTridiagonalSolve:
         bands = dict(zip(("lower", "diag", "upper"), _scheme_shaped_bands(6, 1.0)))
         bands[band][2] = bad
         with pytest.raises(ValueError, match=f"{band} band entry 2 is not finite"):
-            factor_tridiagonal(**bands)
-        with pytest.raises(ValueError, match=f"{band} band entry 2 is not finite"):
             TridiagonalSystem(**bands, rhs=np.zeros(7))
 
-    def test_factorization_rejects_weakly_dominant_rows(self):
-        with pytest.raises(ValueError, match="row 1 is not strictly diagonally dominant"):
-            factor_tridiagonal(np.array([2.0, 2.0]), np.ones(3), np.array([2.0, 2.0]))
-
-    def test_factors_reject_wrong_rhs_length(self):
-        factors = factor_tridiagonal(*_scheme_shaped_bands(6, 1.0))
-        with pytest.raises(ValueError, match="right-hand side has 6 rows"):
-            factors.solve(np.zeros(6))
+    def test_rejects_wrong_rhs_length(self):
+        with pytest.raises(ValueError, match="inconsistent band lengths"):
+            TridiagonalSystem(*_scheme_shaped_bands(6, 1.0), rhs=np.zeros(6))
 
     def test_rejects_weakly_dominant_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row 1 is not strictly diagonally dominant"):
             TridiagonalSystem(
                 lower=np.array([2.0, 2.0]),
                 diag=np.array([1.0, 1.0, 1.0]),

@@ -182,3 +182,13 @@ class TestProblemSpecValidation:
                 label="bad", alpha=0.5, T=0.0,
                 phi=self._zeros, f=lambda x, t: self._zeros(x),
             )
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf")])
+    def test_rejects_non_finite_final_time(self, T):
+        with pytest.raises(ValueError, match=f"positive and finite, got T={T}"):
+            ProblemSpec(
+                label="bad", alpha=0.5, T=T,
+                phi=self._zeros, f=lambda x, t: self._zeros(x),
+            )
+        with pytest.raises(ValueError, match=f"positive and finite, got T={T}"):
+            get_problem("manufactured-sin", 0.5, T)

@@ -7,12 +7,12 @@ import pytest
 import fracheat.solver
 from fracheat.harness import max_lattice_error
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
-from fracheat.operators import apply_compact, apply_second_diff, norm_energy
-from fracheat.problems import get_problem, manufactured_sin, sine_decay, zero_problem
+from fracheat.operators import norm_energy
+from fracheat.problems import ProblemSpec, manufactured_sin, sine_decay, zero_problem
 from fracheat.quadrature import weights_row
-from fracheat.solver import SchemeKind, SolutionLattice, solve
+from fracheat.solver import SchemeKind, SolutionLattice, _denominators, _sine, solve
 from fracheat.special import gamma
-from oracles import dense_compact_matrix, dense_second_diff_matrix, thomas_elementwise
+from oracles import dense_compact_matrix, dense_second_diff_matrix
 
 
 def _dense_march(problem, M, mesh, scheme):
@@ -23,7 +23,7 @@ def _dense_march(problem, M, mesh, scheme):
     with q^n closed form or sum_k a_k (f^k + f^{k-1}) / 2.
     L1: (mu H - D2) u^n = mu H (u^{n-1} - sum_{k=1}^{n-1} b_{n-k} (u^k - u^{k-1}))
         + H f^n.
-    Boundary rows are replaced by the identity with zero right-hand side.
+    Boundary values are pinned to zero, so only the interior block is solved.
     """
     alpha, t = problem.alpha, mesh.t
     x = np.linspace(0.0, 1.0, M + 1)
@@ -52,57 +52,28 @@ def _dense_march(problem, M, mesh, scheme):
             combo = u[n - 1] - sum(b[n - k] * (u[k] - u[k - 1]) for k in range(1, n))
             A = mu * H - D2
             rhs = mu * (H @ combo) + H @ problem.f(x, t[n])
-        for row in (0, M):
-            A[row] = 0.0
-            A[row, row] = 1.0
-            rhs[row] = 0.0
-        u.append(np.linalg.solve(A, rhs))
+        u.append(np.zeros(M + 1))
+        u[n][1:-1] = np.linalg.solve(A[1:-1, 1:-1], rhs[1:-1])
     return np.array(u)
 
 
-def _elementwise_march(problem, grid, mesh, scheme):
-    """The march with its level matrix assembled and solved afresh per level.
+def _boundary_forced(alpha):
+    """phi = 0 and f = 1 + t, which is nonzero at both ends of the interval.
 
-    Same right-hand sides as ``solve``, but every level builds its bands
-    and runs the interleaved element-wise Thomas loop, so ``solve`` must
-    match it bit for bit however it reuses factorizations.
+    I^alpha[1 + t] = t**alpha / Gamma(1 + alpha) + t**(1 + alpha) / Gamma(2 + alpha).
     """
-    alpha, x, h, M = problem.alpha, grid.x, grid.h, grid.M
-    u = np.empty((mesh.N + 1, M + 1))
-    u[0] = problem.phi(x)
-    f_samples = [problem.f(x, mesh.t[0])]
-    for n in range(1, mesh.N + 1):
-        t_n = mesh.t[n]
-        if scheme is SchemeKind.L1:
-            p, r = 1.0 / (gamma(2.0 - alpha) * (mesh.T / mesh.N) ** alpha), 1.0
-            j = np.arange(mesh.N, dtype=float)
-            b = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
-            combo = b[n - 1] * u[0]
-            if n > 1:
-                combo = combo + (b[n - 2 :: -1] - b[n - 1 : 0 : -1]) @ u[1:n]
-            forcing, history = problem.f(x, t_n), 0.0
-        else:
-            a = weights_row(alpha, mesh, n)
-            p, r, combo = 1.0, 0.5 * a[-1], u[0]
-            if problem.exact_f_conv is not None:
-                forcing = problem.exact_f_conv(x, t_n)
-            else:
-                f_samples.append(problem.f(x, t_n))
-                f = np.array(f_samples)
-                forcing = a @ (f[1:] + f[:-1]) / 2.0
-            w = 0.5 * a
-            w[1:] += 0.5 * a[:-1]
-            history = apply_second_diff(w @ u[:n], h)
-        rhs = p * apply_compact(combo) + apply_compact(forcing) + history
-        rhs[0] = rhs[-1] = 0.0
-        q = r / (h * h)
-        lower = np.full(M, p / 12.0 - q)
-        upper = lower.copy()
-        diag = np.full(M + 1, 10.0 * p / 12.0 + 2.0 * q)
-        diag[0] = diag[-1] = 1.0
-        upper[0] = lower[-1] = 0.0
-        u[n] = thomas_elementwise(lower, diag, upper, rhs)
-    return u
+
+    def f(x, t):
+        return np.full_like(x, 1.0 + t)
+
+    def f_conv(x, t):
+        return np.full_like(
+            x, t**alpha / math.gamma(1.0 + alpha) + t ** (1.0 + alpha) / math.gamma(2.0 + alpha)
+        )
+
+    return ProblemSpec(
+        label="boundary-forced", alpha=alpha, T=1.0, phi=np.zeros_like, f=f, exact_f_conv=f_conv
+    )
 
 
 class TestBothSchemes:
@@ -136,57 +107,30 @@ class TestBothSchemes:
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize(
-        "scheme, alpha, grading, closed_form",
+        "scheme, boundary_forced, alpha, grading, closed_form, M, N",
         [
-            (SchemeKind.TRANSFORMED, 0.5, 1.0, True),
-            (SchemeKind.TRANSFORMED, 0.3, 2.0, True),
-            (SchemeKind.TRANSFORMED, 0.7, 2.0, False),
-            (SchemeKind.L1, 0.5, 1.0, True),
+            (SchemeKind.TRANSFORMED, False, 0.5, 1.0, True, 8, 6),
+            (SchemeKind.TRANSFORMED, False, 0.3, 2.0, True, 8, 6),
+            (SchemeKind.TRANSFORMED, False, 0.7, 2.0, False, 8, 6),
+            (SchemeKind.L1, False, 0.5, 1.0, True, 8, 6),
+            (SchemeKind.L1, False, 0.25, 1.0, False, 64, 40),
+            (SchemeKind.TRANSFORMED, False, 0.75, 2.0, False, 64, 40),
+            (SchemeKind.TRANSFORMED, True, 0.5, 1.0, True, 8, 6),
+            (SchemeKind.TRANSFORMED, True, 0.5, 1.0, False, 8, 6),
+            (SchemeKind.TRANSFORMED, True, 0.5, 2.0, True, 8, 6),
+            (SchemeKind.TRANSFORMED, True, 0.5, 2.0, False, 8, 6),
+            (SchemeKind.L1, True, 0.5, 1.0, True, 8, 6),
         ],
     )
-    def test_march_matches_dense_oracle(self, scheme, alpha, grading, closed_form):
-        p = manufactured_sin(alpha)
+    def test_march_matches_dense_oracle(
+        self, scheme, boundary_forced, alpha, grading, closed_form, M, N
+    ):
+        p = _boundary_forced(alpha) if boundary_forced else manufactured_sin(alpha)
         if not closed_form:
             p = dataclasses.replace(p, exact_f_conv=None)
-        M, mesh = 8, graded_time_mesh(1.0, 6, grading)
+        mesh = graded_time_mesh(1.0, N, grading)
         got = solve(p, SpatialGrid(M), mesh, scheme).values
         np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
-
-    @pytest.mark.parametrize(
-        "scheme, grading, alpha",
-        [(SchemeKind.L1, 1.0, 0.25), (SchemeKind.TRANSFORMED, 2.0, 0.75)],
-    )
-    def test_march_bitwise_matches_elementwise_oracle(self, scheme, grading, alpha):
-        p = dataclasses.replace(manufactured_sin(alpha), exact_f_conv=None)
-        grid, mesh = SpatialGrid(64), graded_time_mesh(1.0, 40, grading)
-        got = solve(p, grid, mesh, scheme).values
-        assert np.array_equal(got, _elementwise_march(p, grid, mesh, scheme))
-
-    @pytest.mark.parametrize(
-        "scheme, N, grading, factorizations",
-        [
-            (SchemeKind.L1, 24, 1.0, 1),
-            # Uniform meshes share one kernel row, so one matrix, whether
-            # or not their steps are bitwise equal (1/32 is; 1/40 is not).
-            (SchemeKind.TRANSFORMED, 32, 1.0, 1),
-            (SchemeKind.TRANSFORMED, 40, 1.0, 1),
-            (SchemeKind.TRANSFORMED, 640, 1.0, 1),
-            (SchemeKind.TRANSFORMED, 24, 2.0, 24),
-        ],
-    )
-    def test_factors_once_per_distinct_level_matrix(
-        self, monkeypatch, scheme, N, grading, factorizations
-    ):
-        calls = []
-        factor = fracheat.solver.factor_tridiagonal
-
-        def counted(*bands):
-            calls.append(bands)
-            return factor(*bands)
-
-        monkeypatch.setattr(fracheat.solver, "factor_tridiagonal", counted)
-        solve(manufactured_sin(0.5), SpatialGrid(16), graded_time_mesh(1.0, N, grading), scheme)
-        assert len(calls) == factorizations
 
     @pytest.mark.parametrize("N", [13, 27])
     @pytest.mark.parametrize(
@@ -195,8 +139,11 @@ class TestBothSchemes:
             (SchemeKind.TRANSFORMED, "sine-decay", True),
             (SchemeKind.TRANSFORMED, "forced-sine", True),
             (SchemeKind.TRANSFORMED, "forced-sine", False),
+            (SchemeKind.TRANSFORMED, "boundary-forced", True),
+            (SchemeKind.TRANSFORMED, "boundary-forced", False),
             (SchemeKind.L1, "sine-decay", True),
             (SchemeKind.L1, "forced-sine", True),
+            (SchemeKind.L1, "boundary-forced", True),
         ],
     )
     def test_toeplitz_march_matches_dense_oracle(
@@ -210,6 +157,8 @@ class TestBothSchemes:
         p = sine_decay(alpha)
         if problem == "forced-sine":
             p = dataclasses.replace(manufactured_sin(alpha), phi=p.phi, exact_u=None)
+        elif problem == "boundary-forced":
+            p = _boundary_forced(alpha)
         if not closed_form:
             p = dataclasses.replace(p, exact_f_conv=None)
         M, mesh = 8, uniform_time_mesh(1.0, N)
@@ -268,6 +217,54 @@ class TestBothSchemes:
         )
         with pytest.raises(ValueError, match=r"level 0 \(t = 0\).*initial data"):
             solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4))
+
+class TestSineLevelSolve:
+    @pytest.mark.parametrize("M", [2, 3, 8, 101])
+    def test_sine_matches_its_definition(self, M):
+        v = np.random.default_rng(M).standard_normal((2, M + 1))
+        i = np.arange(1, M)
+        S = np.sin(np.pi * np.outer(i, i) / M)
+        got = _sine(v)
+        np.testing.assert_allclose(got[:, 1:-1], v[:, 1:-1] @ S, rtol=0, atol=1e-12 * M)
+        assert np.array_equal(got[:, [0, -1]], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("M", [2, 3, 8, 101, 2000])
+    def test_sine_is_its_own_inverse_with_positive_zero_ends(self, M):
+        v = np.random.default_rng(M).standard_normal((3, M + 1))
+        back = _sine(_sine(v)) * (2.0 / M)
+        np.testing.assert_allclose(back[:, 1:-1], v[:, 1:-1], rtol=0, atol=1e-13)
+        ends = back[:, [0, -1]]
+        assert np.all(ends == 0.0) and not np.any(np.signbit(ends))
+
+    def test_zero_and_negative_zero_give_positive_zeros(self):
+        # A -0.0 in a lattice would print as "-0" in ``fracheat run``.
+        for v in (np.zeros((2, 9)), np.full((2, 9), -0.0)):
+            out = _sine(v)
+            assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+    @pytest.mark.parametrize("M", [8, 100, 2000])
+    @pytest.mark.parametrize("level", ["transformed-uniform", "transformed-graded", "l1"])
+    def test_level_solve_matches_dense_solve(self, M, level):
+        # (p, r) of a uniform transformed level, of the first level of a
+        # graded r=2 mesh, and of L1 (lambda at 128 steps) at each M.
+        alpha, h = 0.5, 1.0 / M
+        if level == "l1":
+            p, r = 1.0 / (gamma(2.0 - alpha) * (1.0 / 128) ** alpha), 1.0
+        else:
+            mesh = graded_time_mesh(1.0, 128, 2.0 if level == "transformed-graded" else 1.0)
+            p, r = 1.0, 0.5 * weights_row(alpha, mesh, 1)[-1]
+        A = p * dense_compact_matrix(M) - r * dense_second_diff_matrix(M, h)
+        rhs = np.random.default_rng(M).standard_normal(M + 1)
+        rhs[0] = rhs[-1] = 0.0
+        s = np.sin(np.pi * np.arange(M + 1) / (2 * M)) ** 2
+        got = _sine(_sine(rhs) / _denominators(p, r, h, s)) * (2.0 / M)
+        # Pinned ends: only the interior block is solved.  (Identity rows
+        # solved along with it cost LAPACK's pivoting up to 2e-10 here.)
+        ref = np.zeros(M + 1)
+        ref[1:-1] = np.linalg.solve(A[1:-1, 1:-1], rhs[1:-1])
+        assert np.max(np.abs(got - ref)) <= 2e-12 * np.max(np.abs(ref))
+        assert np.all(got[[0, -1]] == 0.0) and not np.any(np.signbit(got[[0, -1]]))
+
 
 class TestTransformedScheme:
     def test_reference_error_level(self):
