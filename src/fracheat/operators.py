@@ -1,8 +1,9 @@
 """Spatial stencils, discrete norms, and the tridiagonal solve.
 
 Grid functions are plain 1-D numpy arrays of length M+1 holding nodal
-values on a ``SpatialGrid``; indices 0 and M are boundary nodes.  All the
-spatial structure of the schemes lives in two stencils:
+values on a ``SpatialGrid``; indices 0 and M are boundary nodes.  The
+compact average also takes a stack of them, acting along the last axis.
+All the spatial structure of the schemes lives in two stencils:
 
 * the compact average  (v[i-1] + 10 v[i] + v[i+1]) / 12, which lifts the
   centered second difference to fourth-order accuracy, and
@@ -37,10 +38,11 @@ __all__ = [
 def apply_compact(v: np.ndarray) -> np.ndarray:
     """Compact average: (v[i-1] + 10 v[i] + v[i+1]) / 12 at interior nodes.
 
+    Acts along the last axis, so a 2-D stack is averaged row by row.
     Boundary entries are returned unchanged.
     """
     out = np.array(v, dtype=float)
-    out[1:-1] = (v[:-2] + 10.0 * v[1:-1] + v[2:]) / 12.0
+    out[..., 1:-1] = (out[..., :-2] + 10.0 * out[..., 1:-1] + out[..., 2:]) / 12.0
     return out
 
 

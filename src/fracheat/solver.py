@@ -11,11 +11,17 @@ pinned ends, H and D2 are both diagonal in the discrete sine basis
 sin(m pi x_i), m = 1..M-1, with eigenvalues eta_m = 1 - s_m / 3 and
 -mu_m = -4 s_m / h**2, s_m = sin(m pi h / 2)**2.  So the whole march runs
 on sine coefficients, and each level is M - 1 scalar divisions.  The
-initial data and each level's forcing are transformed in (a DST-I by FFT
-of the odd extension), and the finished levels are transformed out once.
-The odd extension drops the boundary values of phi, which ``ProblemSpec``
+initial data and the forcing are transformed in (a DST-I by FFT of the
+odd extension), and the finished levels are transformed out once.  The
+odd extension drops the boundary values of phi, which ``ProblemSpec``
 bounds by 1e-12; the forcing is averaged by H in physical space first, so
 its boundary values still reach rows 1 and M-1.
+
+Everything on a level's right-hand side that does not depend on the
+solution is filled into its row before the march: the forcing is sampled
+once per level, in increasing t, then averaged and transformed in blocks
+of rows.  The march itself only adds history to those rows and divides,
+with no forcing call and no transform.
 
 On a uniform mesh (steps equal to 1e-12 relative) every weight of either
 scheme depends only on the lag n - j, so the history is a causal Toeplitz
@@ -25,9 +31,11 @@ the block directly.  When a block of B = _LEAF, 2 _LEAF, 4 _LEAF, ...
 levels is done and is the first half of a block of 2B, its history for
 the second half is added at once by FFT (Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6(3), 1985): O(M N log^2 N) in all instead of
-O(M N^2).  Rows of levels not yet solved hold the history added so far,
-starting with the u^0 term.  Graded meshes build their weights per level
-and sum the whole history directly.  The schemes are:
+O(M N^2).  The merges add into the right-hand-side rows of the levels not
+yet solved, which start out holding the u^0 term; with quadrature forcing
+the history of the transformed samples of f is merged into them too.
+Graded meshes build their weights per level and sum the whole history
+directly.  The schemes are:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
   the problem with the exact kernel step weights a_1..a_n of level n
@@ -62,6 +70,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -155,14 +164,17 @@ def _is_uniform(mesh: TemporalMesh) -> bool:
     return bool(steps.max() - steps.min() <= 1e-12 * steps.mean())
 
 
-def _add_far_history(dst: np.ndarray, src: np.ndarray, kernel: np.ndarray) -> None:
+def _add_far_history(
+    dst: np.ndarray, src: np.ndarray, kernel: np.ndarray, scale: Optional[np.ndarray] = None
+) -> None:
     """Add a finished block's Toeplitz history to the next block's rows.
 
     ``src`` holds the B rows j = 0..B-1 just solved and ``dst`` the (at
     most B) rows i = 0.. after them; row i gains sum_j kernel[B + i - j]
-    src[j], with ``kernel`` indexed by the level lag.  The causal sum is
-    one linear convolution along time, taken by FFT of length 2B in column
-    chunks whose working memory stays near ``_MERGE_BYTES``.
+    src[j], with ``kernel`` indexed by the level lag, times ``scale`` per
+    column if given.  The causal sum is one linear convolution along time,
+    taken by FFT of length 2B in column chunks whose working memory stays
+    near ``_MERGE_BYTES``.
     """
     half = len(src)
     size = 2 * half
@@ -171,7 +183,10 @@ def _add_far_history(dst: np.ndarray, src: np.ndarray, kernel: np.ndarray) -> No
     for c in range(0, src.shape[1], width):
         spec = np.fft.rfft(src[:, c : c + width], size, axis=0)
         spec *= kernel_fft[:, None]
-        dst[:, c : c + width] += np.fft.irfft(spec, size, axis=0)[half : half + len(dst)]
+        hist = np.fft.irfft(spec, size, axis=0)[half : half + len(dst)]
+        if scale is not None:
+            hist *= scale[c : c + width]
+        dst[:, c : c + width] += hist
 
 
 def solve(
@@ -198,17 +213,10 @@ def solve(
     uniform = _is_uniform(mesh)
     if l1 and not uniform:
         raise ValueError("the L1 scheme requires a uniform time mesh")
-    # Quadrature forcing: g[k] = (f_k + f_{k-1}) / 2 once level k is
-    # reached, and the forcing integral at level n is sum_k a_k g[k].
-    g = None
-    if not l1 and problem.exact_f_conv is None:
-        g = np.zeros_like(u)
-        f_prev = problem.f(x, mesh.t[0])
     if uniform:
         # Coefficients depend on the lag n - j only: ``lag`` weighs u^j in
         # level n's history, ``seed`` u^0, and the reversed kernel row
-        # ``row`` = (A_N, ..., A_1) weighs g.  Rows not yet solved hold
-        # their history from earlier blocks, starting with the u^0 term.
+        # ``row`` = (A_N, ..., A_1) weighs g.
         if l1:
             p, r = 1.0 / (gamma(2.0 - alpha) * (mesh.T / N) ** alpha), 1.0
             j = np.arange(N, dtype=float)
@@ -220,7 +228,6 @@ def solve(
             p, r = 1.0, 0.5 * A[0]
             seed = 0.5 * A
             lag = np.concatenate(([0.0], 0.5 * (A[:-1] + A[1:])))
-        np.multiply(seed[:, None], u[0], out=u[1:])
         lag_rev = lag[::-1]
         den = _denominators(p, r, h, s)
     # Level n's coefficients are (base + F^n + gain T^n) / den, with T^n
@@ -230,6 +237,36 @@ def solve(
     else:
         gain, base = -4.0 * s / (h * h), eta * u[0]
 
+    # Before the march, row n of u gets the part of level n's right-hand
+    # side known in advance: base + F^n, plus gain seed_n u^0 on a uniform
+    # mesh.  Quadrature forcing makes F^n a history sum: g[k] holds the
+    # transformed H (f_k + f_{k-1}) / 2, and F^n = sum_k a_k g[k] is added
+    # during the march.  The forcing is sampled once per level in
+    # increasing t; H and the transform run on blocks of rows whose
+    # temporaries (odd extension, spectrum, result: about 64 M bytes a
+    # row) stay near ``_MERGE_BYTES``.
+    rows = max(1, _MERGE_BYTES // (64 * M))
+    sample = problem.f if l1 else problem.exact_f_conv
+    g = None
+    if sample is None:
+        g = np.zeros_like(u)
+        f_prev = problem.f(x, mesh.t[0])
+    for c in range(1, N + 1, rows):
+        block = (u if g is None else g)[c : c + rows]
+        for i, t in enumerate(mesh.t[c : c + rows]):
+            if g is None:
+                block[i] = sample(x, t)
+            else:
+                f_n = problem.f(x, t)
+                np.add(f_n, f_prev, out=block[i])
+                block[i] /= 2.0
+                f_prev = f_n
+        block[:] = _sine(apply_compact(block))
+        rhs = u[c : c + rows]
+        rhs += base
+        if uniform:
+            rhs += seed[c - 1 : c - 1 + len(rhs), None] * (gain * u[0])
+
     lo = 1  # first level of the current block, summed directly
     for n in range(1, N + 1):
         done = n - 1
@@ -237,11 +274,10 @@ def solve(
             # Levels [n - half, n) finished the first half of a block of
             # 2 * half levels; add their history to the second half.
             half = done & -done
-            _add_far_history(u[n : n + half], u[n - half : n], lag)
+            _add_far_history(u[n : n + half], u[n - half : n], lag, gain)
             if g is not None:
-                _add_far_history(g[n : n + half], g[n - half : n], A)
+                _add_far_history(u[n : n + half], g[n - half : n], A)
             lo = n
-        t_n = mesh.t[n]
         if uniform:
             weights, first = lag_rev[N - 1 - n + lo : N - 1], lo
         else:
@@ -251,23 +287,12 @@ def solve(
             weights = 0.5 * row
             weights[1:] += 0.5 * row[:-1]
             first = 0
-        total = u[n] + weights @ u[first:n]
-        if g is None:
-            forcing = problem.f(x, t_n) if l1 else problem.exact_f_conv(x, t_n)
-        else:
-            far = g[n].copy()
-            f_n = problem.f(x, t_n)
-            np.add(f_n, f_prev, out=g[n])
-            g[n] /= 2.0
-            f_prev = f_n
-            # The row's last n - lo + 1 weights pair with g[lo..n].
-            forcing = far + row[len(row) - 1 - n + lo :] @ g[lo : n + 1]
-        u[n] = (base + _sine(apply_compact(forcing)) + gain * total) / den
+        # The row's last n - lo + 1 weights pair with g[lo..n].
+        rhs = u[n] if g is None else u[n] + row[len(row) - 1 - n + lo :] @ g[lo : n + 1]
+        u[n] = (rhs + gain * (weights @ u[first:n])) / den
 
-    # Back to nodal values, in chunks whose transform temporaries (odd
-    # extension, spectrum, result: about 64 M bytes a row) stay near
-    # ``_MERGE_BYTES``.  Row 0 gets phi as sampled.
-    rows = max(1, _MERGE_BYTES // (64 * M))
+    # Back to nodal values, in the same blocks of rows.  Row 0 gets phi as
+    # sampled.
     for c in range(1, N + 1, rows):
         u[c : c + rows] = _sine(u[c : c + rows]) * (2.0 / M)
     u[0] = phi

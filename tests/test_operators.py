@@ -48,6 +48,15 @@ class TestCompactAverage:
         v = np.full(9, 3.5)
         np.testing.assert_allclose(apply_compact(v), v, rtol=1e-15)
 
+    def test_stack_is_averaged_row_by_row(self):
+        # Rows with nonzero ends, so the boundary columns must pass through.
+        stack = np.random.default_rng(3).standard_normal((5, 9))
+        got = apply_compact(stack)
+        assert got.shape == stack.shape
+        for row, v in zip(got, stack):
+            assert np.array_equal(row, apply_compact(v))
+        assert np.array_equal(got[:, [0, -1]], stack[:, [0, -1]])
+
 
 class TestSecondDifference:
     def test_unit_bump(self):

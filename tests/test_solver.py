@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,109 @@ class TestBothSchemes:
         )
         with pytest.raises(ValueError, match=r"level 0 \(t = 0\).*initial data"):
             solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4))
+
+# Both schemes with closed-form forcing, and transformed with quadrature.
+_FORCINGS = [
+    (SchemeKind.TRANSFORMED, True),
+    (SchemeKind.L1, True),
+    (SchemeKind.TRANSFORMED, False),
+]
+
+
+def _forcing_of(scheme, closed_form, wrap):
+    """manufactured_sin with ``wrap(name, fn)`` around the forcing it samples."""
+    p = manufactured_sin(0.5)
+    p = dataclasses.replace(p, f=wrap("f", p.f))
+    if not closed_form:
+        return dataclasses.replace(p, exact_f_conv=None)
+    return dataclasses.replace(p, exact_f_conv=wrap("exact_f_conv", p.exact_f_conv))
+
+
+class TestForcingBlocks:
+    """Every level's forcing is sampled and transformed before the march."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # At M = 8: merges of 4, 8, 16 and 32 levels, with the wider ones cut
+        # into column chunks, and forcing blocks of 3 rows (1 for the last
+        # of N = 40).
+        monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
+        monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 3 * 64 * 8)
+
+    @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
+    def test_non_finite_forcing_past_a_block_and_a_merge(self, small_blocks, scheme, closed_form):
+        # Level 14 is in the fifth forcing block, after merges at levels 5, 9 and 13.
+        mesh = uniform_time_mesh(1.0, 40)
+        t_bad = mesh.t[14]
+
+        def poisoned(name, fn):
+            return lambda x, t: fn(x, t) + (np.nan if t >= t_bad else 0.0)
+
+        p = _forcing_of(scheme, closed_form, poisoned)
+        with pytest.raises(ValueError, match=r"level 14 \(t = 0.35\) is not finite.*forcing"):
+            solve(p, SpatialGrid(8), mesh, scheme)
+
+    @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
+    def test_forcing_sampled_once_per_level_before_the_first_merge(
+        self, monkeypatch, small_blocks, scheme, closed_form
+    ):
+        log = []
+
+        def logged(name, fn):
+            def call(*args):
+                log.append((name, args[1] if name in ("f", "exact_f_conv") else None))
+                return fn(*args)
+
+            return call
+
+        for name in ("apply_compact", "_add_far_history"):
+            fn = getattr(fracheat.solver, name)
+            monkeypatch.setattr(fracheat.solver, name, logged(name, fn))
+        mesh = uniform_time_mesh(1.0, 40)
+        solve(_forcing_of(scheme, closed_form, logged), SpatialGrid(8), mesh, scheme)
+        names = [name for name, _ in log]
+        sampled = "exact_f_conv" if closed_form and scheme is SchemeKind.TRANSFORMED else "f"
+        # Quadrature samples f at every level from t_0; closed forms from t_1.
+        times = [t for name, t in log if name == sampled]
+        assert times == list(mesh.t[1 if closed_form else 0 :])
+        assert names.count("f") + names.count("exact_f_conv") == names.count(sampled)
+        assert names.count("apply_compact") == 14  # ceil(40 / 3) blocks
+        march = names[names.index("_add_far_history") :]
+        assert sampled not in march and "apply_compact" not in march
+
+    @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
+    def test_sine_runs_per_block_not_per_level(self, monkeypatch, scheme, closed_form):
+        # phi, the one block of forcing rows and the one block back out.
+        shapes = []
+        sine = fracheat.solver._sine
+
+        def counted(v):
+            shapes.append(v.shape)
+            return sine(v)
+
+        monkeypatch.setattr(fracheat.solver, "_sine", counted)
+        p = _forcing_of(scheme, closed_form, lambda name, fn: fn)
+        solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 40), scheme)
+        assert shapes == [(9,), (40, 9), (40, 9)]
+
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_working_memory_is_the_lattices_and_two_chunks(self, closed_form):
+        # A lattice-sized temporary would add 1.6 MB to a peak that should
+        # hold the lattice (and the quadrature samples g) plus at most two
+        # chunks of transform or merge work.
+        p = _forcing_of(SchemeKind.TRANSFORMED, closed_form, lambda name, fn: fn)
+        grid, mesh = SpatialGrid(100), uniform_time_mesh(1.0, 2048)
+        lattices = (1 if closed_form else 2) * (mesh.N + 1) * (grid.M + 1) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve(p, grid, mesh)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < lattices + 2 * fracheat.solver._MERGE_BYTES
+
 
 class TestSineLevelSolve:
     @pytest.mark.parametrize("M", [2, 3, 8, 101])
