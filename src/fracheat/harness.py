@@ -40,23 +40,19 @@ CSV_HEADER = "alpha,scheme,mesh,M,N,E1,rate,wall_seconds"
 def _worst_level(
     lattice: SolutionLattice,
     exact: Callable[[np.ndarray, float], np.ndarray],
-    level_error: Optional[Callable[[np.ndarray], float]] = None,
+    level_error: Callable[[np.ndarray], float],
 ) -> float:
-    """Largest error of any level; a non-finite one raises.
+    """Largest ``level_error`` of any level's difference from ``exact``.
 
-    A level's error is ``level_error`` of its difference from ``exact``,
-    or the largest magnitude in it when ``level_error`` is None.  The
-    difference lives in one buffer reused for every level.
+    The difference lives in one buffer reused for every level, so
+    ``level_error`` may overwrite it.  A non-finite error raises.
     """
     values, x = lattice.values, lattice.grid.x
     diff = np.empty(values.shape[1])
     worst = 0.0
     for n, t in enumerate(lattice.mesh.t.tolist()):
         np.subtract(values[n], exact(x, t), out=diff)
-        if level_error is None:
-            err = float(np.abs(diff, out=diff).max())
-        else:
-            err = level_error(diff)
+        err = level_error(diff)
         if not math.isfinite(err):
             raise ValueError(f"error at level {n} (t = {t:g}) is not finite ({err})")
         worst = max(worst, err)
@@ -70,7 +66,7 @@ def max_lattice_error(
 
     A non-finite error at any level raises ValueError.
     """
-    return _worst_level(lattice, exact)
+    return _worst_level(lattice, exact, lambda d: float(np.abs(d, out=d).max()))
 
 
 def lattice_error(

@@ -16,6 +16,14 @@ from fracheat.special import gamma
 from oracles import dense_compact_matrix, dense_second_diff_matrix
 
 
+def _use_small_blocks(monkeypatch):
+    """At M = 8: merges of 4, 8, 16 and 32 levels, with the wider ones cut
+    into column chunks, and forcing blocks of 3 rows (1 for the last of
+    N = 40)."""
+    monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
+    monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 3 * 64 * 8)
+
+
 def _dense_march(problem, M, mesh, scheme):
     """Both schemes level by level with dense matrices, in uncollapsed form.
 
@@ -195,10 +203,22 @@ class TestBothSchemes:
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     @pytest.mark.parametrize("closed_form", [True, False])
-    def test_non_finite_forcing_names_the_first_bad_level(self, scheme, closed_form):
+    @pytest.mark.parametrize(
+        "N, bad, small",
+        [
+            (8, 3, False),
+            # Level 14 is in the fifth forcing block, after merges at levels 5, 9 and 13.
+            (40, 14, True),
+        ],
+    )
+    def test_non_finite_forcing_names_the_first_bad_level(
+        self, monkeypatch, scheme, closed_form, N, bad, small
+    ):
+        if small:
+            _use_small_blocks(monkeypatch)
         base = manufactured_sin(0.5)
-        mesh = uniform_time_mesh(1.0, 8)
-        t_bad = mesh.t[3]
+        mesh = uniform_time_mesh(1.0, N)
+        t_bad = mesh.t[bad]
 
         def poisoned(fn):
             return lambda x, t: fn(x, t) + (np.nan if t >= t_bad else 0.0)
@@ -208,7 +228,8 @@ class TestBothSchemes:
             p = dataclasses.replace(p, exact_f_conv=poisoned(base.exact_f_conv))
         else:
             p = dataclasses.replace(p, exact_f_conv=None)
-        with pytest.raises(ValueError, match=r"level 3 \(t = 0.375\) is not finite.*forcing"):
+        message = rf"level {bad} \(t = {t_bad:g}\) is not finite.*forcing"
+        with pytest.raises(ValueError, match=message):
             solve(p, SpatialGrid(8), mesh, scheme)
 
     def test_non_finite_initial_data_is_level_zero(self):
@@ -239,31 +260,11 @@ def _forcing_of(scheme, closed_form, wrap):
 class TestForcingBlocks:
     """Every level's forcing is sampled and transformed before the march."""
 
-    @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        # At M = 8: merges of 4, 8, 16 and 32 levels, with the wider ones cut
-        # into column chunks, and forcing blocks of 3 rows (1 for the last
-        # of N = 40).
-        monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
-        monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 3 * 64 * 8)
-
-    @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
-    def test_non_finite_forcing_past_a_block_and_a_merge(self, small_blocks, scheme, closed_form):
-        # Level 14 is in the fifth forcing block, after merges at levels 5, 9 and 13.
-        mesh = uniform_time_mesh(1.0, 40)
-        t_bad = mesh.t[14]
-
-        def poisoned(name, fn):
-            return lambda x, t: fn(x, t) + (np.nan if t >= t_bad else 0.0)
-
-        p = _forcing_of(scheme, closed_form, poisoned)
-        with pytest.raises(ValueError, match=r"level 14 \(t = 0.35\) is not finite.*forcing"):
-            solve(p, SpatialGrid(8), mesh, scheme)
-
     @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
     def test_forcing_sampled_once_per_level_before_the_first_merge(
-        self, monkeypatch, small_blocks, scheme, closed_form
+        self, monkeypatch, scheme, closed_form
     ):
+        _use_small_blocks(monkeypatch)
         log = []
 
         def logged(name, fn):
