@@ -17,7 +17,7 @@ applied to g = 1.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,13 +31,17 @@ __all__ = [
 ]
 
 
-def weights_row(alpha: float, mesh: TemporalMesh, n: int) -> np.ndarray:
+def weights_row(
+    alpha: float, mesh: TemporalMesh, n: int, stop: Optional[int] = None
+) -> np.ndarray:
     """Exact step integrals of the kernel (t_n - s)**(alpha-1) / Gamma(alpha).
 
     Returns the read-only row a_1, ..., a_n of level n.  Every weight is
     positive and finite for an admissible mesh, and the row sums to
     t_n**alpha / Gamma(1 + alpha); a weight that rounds to zero (a step
-    too small against t_n) raises ValueError.
+    too small against t_n) raises ValueError.  With ``stop``, returns the
+    rows of levels n..stop-1 as one (stop - n, stop - 1) array whose row i
+    is that of level n + i padded with zeros.
 
     Parameters
     ----------
@@ -46,23 +50,26 @@ def weights_row(alpha: float, mesh: TemporalMesh, n: int) -> np.ndarray:
     mesh : TemporalMesh
         Time levels; may be graded.
     n : int
-        Target level, 1 <= n <= N.
+        Target level, 1 <= n <= N (the first one, with ``stop``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not 1 <= n <= mesh.N:
-        raise ValueError(f"level must satisfy 1 <= n <= {mesh.N}, got {n}")
-    powers = (mesh.t[n] - mesh.t[: n + 1]) ** alpha
-    w = (powers[:-1] - powers[1:]) / gamma(1.0 + alpha)
-    ok = (w > 0.0) & (w < np.inf)
+    hi = n + 1 if stop is None else stop
+    if not 1 <= n < hi <= mesh.N + 1:
+        raise ValueError(f"levels n..stop-1 must lie in 1..{mesh.N}, got {n}..{hi - 1}")
+    # Step k of level m takes (t_m - t_k)**alpha, clipped to 0 past t_m.
+    powers = np.maximum(mesh.t[n:hi, None] - mesh.t[:hi], 0.0)
+    powers **= alpha
+    w = (powers[:, :-1] - powers[:, 1:]) / gamma(1.0 + alpha)
+    ok = (w > 0.0) & (w < np.inf) | (np.arange(hi - 1) >= np.arange(n, hi)[:, None])
     if not ok.all():
-        k = int(np.argmin(ok)) + 1
+        i, k = np.unravel_index(np.argmin(ok), ok.shape)
         raise ValueError(
-            f"kernel weight a_{k} of level {n} is not positive and finite "
-            f"({w[k - 1]}): step {k} is too small against t_{n}"
+            f"kernel weight a_{k + 1} of level {n + i} is not positive and finite "
+            f"({w[i, k]}): step {k + 1} is too small against t_{n + i}"
         )
     w.flags.writeable = False
-    return w
+    return w if stop is not None else w[0]
 
 
 def midpoint_convolution(

@@ -25,17 +25,21 @@ with no forcing call and no transform.
 
 On a uniform mesh (steps equal to 1e-12 relative) every weight of either
 scheme depends only on the lag n - j, so the history is a causal Toeplitz
-convolution in time and one kernel row serves the whole solve.  The
-march runs in blocks of ``_LEAF`` levels, summing the history from inside
-the block directly.  When a block of B = _LEAF, 2 _LEAF, 4 _LEAF, ...
-levels is done and is the first half of a block of 2B, its history for
-the second half is added at once by FFT (Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6(3), 1985): O(M N log^2 N) in all instead of
-O(M N^2).  The merges add into the right-hand-side rows of the levels not
-yet solved, which start out holding the u^0 term; with quadrature forcing
-the history of the transformed samples of f is merged into them too.
-Graded meshes build their weights per level and sum the whole history
-directly.  The schemes are:
+convolution in time and one kernel row serves the whole solve.  When a
+run of L = _LEAF, 2 _LEAF, 4 _LEAF, ... levels is done and is the first
+half of a run of 2L, its history for the second half is added at once by
+FFT (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985):
+O(M N log^2 N) in all instead of O(M N^2).  The merges add into the
+right-hand-side rows of the levels not yet solved, which start out
+holding the u^0 term; with quadrature forcing the history of the
+transformed samples of f is merged into them too.
+
+The history from inside the current leaf of ``_LEAF`` levels (on a graded
+mesh, all of it) is summed in blocks of ``_BLOCK`` levels: one matrix
+product adds the part from before a block to all its levels, with weights
+viewed in the kernel row or built as one ``weights_row`` block, and then
+the levels are solved in turn, each adding the rows solved before it in
+the block, so no level reads a later one.  The schemes are:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
   the problem with the exact kernel step weights a_1..a_n of level n
@@ -82,9 +86,12 @@ from .special import gamma
 
 __all__ = ["SchemeKind", "SolutionLattice", "solve"]
 
-# Levels per directly summed block of a uniform march: below this the
-# direct weighted sums are cheaper than one more level of FFT merges.
+# Levels per leaf of a uniform march, whose history from inside the leaf is
+# summed without FFT: below this that is cheaper than one more merge level.
 _LEAF = 128
+# Levels per block of the march, capped at a leaf: one matrix product adds
+# the history from before the block to all of its levels.
+_BLOCK = 32
 # Working memory of one chunk of an FFT merge or of the final sine
 # transform, in bytes.
 _MERGE_BYTES = 512 * 1024
@@ -154,7 +161,7 @@ def _denominators(p: float, r: float, h: float, s: np.ndarray) -> np.ndarray:
     off = p / 12.0 - q
     diag = 10.0 * p / 12.0 + 2.0 * q
     den = (diag + 2.0 * off) - 4.0 * off * s
-    den[[0, -1]] = 1.0
+    den[..., [0, -1]] = 1.0
     return den
 
 
@@ -189,6 +196,24 @@ def _add_far_history(
         dst[:, c : c + width] += hist
 
 
+def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale: np.ndarray) -> None:
+    """Add ``weights @ src``, times ``scale`` per column, to ``dst``.
+
+    One matrix product per chunk of columns (a slice of ``src`` near
+    ``_MERGE_BYTES / 8``) into one output buffer; lag windows are copied.
+    """
+    if not len(src):
+        return
+    w = weights.copy() if weights.strides[0] < 0 else weights
+    width = max(len(dst), _MERGE_BYTES // (64 * len(src)))
+    out = np.empty((len(dst), min(width, src.shape[1])))
+    for c in range(0, src.shape[1], width):
+        part = out[:, : src.shape[1] - c]
+        np.matmul(w, src[:, c : c + width], out=part)
+        part *= scale[c : c + width]
+        dst[:, c : c + width] += part
+
+
 def solve(
     problem: ProblemSpec,
     grid: SpatialGrid,
@@ -215,8 +240,7 @@ def solve(
         raise ValueError("the L1 scheme requires a uniform time mesh")
     if uniform:
         # Coefficients depend on the lag n - j only: ``lag`` weighs u^j in
-        # level n's history, ``seed`` u^0, and the reversed kernel row
-        # ``row`` = (A_N, ..., A_1) weighs g.
+        # level n's history, ``seed`` u^0, and A_1, ..., A_N weigh g.
         if l1:
             p, r = 1.0 / (gamma(2.0 - alpha) * (mesh.T / N) ** alpha), 1.0
             j = np.arange(N, dtype=float)
@@ -228,8 +252,13 @@ def solve(
             p, r = 1.0, 0.5 * A[0]
             seed = 0.5 * A
             lag = np.concatenate(([0.0], 0.5 * (A[:-1] + A[1:])))
-        lag_rev = lag[::-1]
-        den = _denominators(p, r, h, s)
+        # Lags _LEAF-1..0 of ``lag`` and A, then zeros for negative lags:
+        # rev[:, _LEAF - 1 - (n - j)] weighs u^j (g[j]) in level n.
+        near = np.stack([k[_LEAF - 1 :: -1] for k in (lag, lag if l1 else A)])
+        rev = np.zeros((2, _LEAF + _BLOCK))
+        rev[:, _LEAF - near.shape[1] : _LEAF] = near
+        windows = np.lib.stride_tricks.sliding_window_view
+        den = np.broadcast_to(_denominators(p, r, h, s), (_BLOCK, M + 1))
     # Level n's coefficients are (base + F^n + gain T^n) / den, with T^n
     # its history sum and F^n the transformed H forcing.
     if l1:
@@ -267,29 +296,33 @@ def solve(
         if uniform:
             rhs += seed[c - 1 : c - 1 + len(rhs), None] * (gain * u[0])
 
-    lo = 1  # first level of the current block, summed directly
-    for n in range(1, N + 1):
-        done = n - 1
-        if uniform and done and done % _LEAF == 0:
-            # Levels [n - half, n) finished the first half of a block of
+    # Blocks [b, e) within leaves: row i of ``wu`` (``wg``) weighs u^j
+    # (g[k]) in level b + i at column j - j0 (k - k0).
+    for lo in range(1, N + 1, _LEAF):
+        j0, k0 = (lo, lo) if uniform else (0, 1)
+        if uniform and lo > 1:
+            # Levels [lo - half, lo) finished the first half of a run of
             # 2 * half levels; add their history to the second half.
-            half = done & -done
-            _add_far_history(u[n : n + half], u[n - half : n], lag, gain)
+            half = (lo - 1) & (1 - lo)
+            _add_far_history(u[lo : lo + half], u[lo - half : lo], lag, gain)
             if g is not None:
-                _add_far_history(u[n : n + half], g[n - half : n], A)
-            lo = n
-        if uniform:
-            weights, first = lag_rev[N - 1 - n + lo : N - 1], lo
-        else:
-            row = weights_row(alpha, mesh, n)
-            den = _denominators(1.0, 0.5 * row[-1], h, s)
-            # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs u^j, j < n.
-            weights = 0.5 * row
-            weights[1:] += 0.5 * row[:-1]
-            first = 0
-        # The row's last n - lo + 1 weights pair with g[lo..n].
-        rhs = u[n] if g is None else u[n] + row[len(row) - 1 - n + lo :] @ g[lo : n + 1]
-        u[n] = (rhs + gain * (weights @ u[first:n])) / den
+                _add_far_history(u[lo : lo + half], g[lo - half : lo], A)
+        for b in range(lo, min(lo + _LEAF, N + 1), _BLOCK):
+            e = min(b + _BLOCK, lo + _LEAF, N + 1)
+            if uniform:
+                wu, wg = windows(rev, e - lo, axis=1)[:, _LEAF - e + lo : _LEAF - b + lo][:, ::-1]
+            else:
+                wg = weights_row(alpha, mesh, b, e)
+                den = _denominators(1.0, 0.5 * np.diagonal(wg, b - 1)[:, None], h, s)
+                # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs u^j, j < n.
+                wu = wg * 0.5
+                wu[:, 1:] += 0.5 * wg[:, :-1]
+            _add_products(u[b:e], wu[:, : b - j0], u[j0:b], gain)
+            if g is not None:
+                _add_products(u[b:e], wg[:, : b - k0], g[k0:b], np.ones(M + 1))
+            for i, n in enumerate(range(b, e)):
+                rhs = u[n] if g is None else u[n] + wg[i, b - k0 : n + 1 - k0] @ g[b : n + 1]
+                u[n] = (rhs + gain * (wu[i, b - j0 : n - j0] @ u[b:n])) / den[i]
 
     # Back to nodal values, in the same blocks of rows.  Row 0 gets phi as
     # sampled.

@@ -62,8 +62,24 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             """,
             "ValueError: kernel weight a_1 of level 2 is not positive and finite",
         ),
+        (
+            # Steps of 1e-300 up to t_34, then t_35 = 0.5: a_1 of level 35
+            # rounds to zero, inside the second block of levels [33, 41).
+            """
+            import numpy as np
+            from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
+            t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
+            solve(manufactured_sin(0.5), SpatialGrid(8), TemporalMesh(t=t, T=1.0))
+            """,
+            "ValueError: kernel weight a_1 of level 35 is not positive and finite",
+        ),
     ],
-    ids=["weakly-dominant-rows", "nan-forcing", "zero-kernel-weight"],
+    ids=[
+        "weakly-dominant-rows",
+        "nan-forcing",
+        "zero-kernel-weight",
+        "zero-kernel-weight-in-a-later-block",
+    ],
 )
 def test_check_raises_under_optimized_python(code, message):
     result = _run_optimized("assert False, 'not optimized'\n" + textwrap.dedent(code))

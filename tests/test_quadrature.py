@@ -70,6 +70,30 @@ class TestWeights:
             weights_row(0.5, mesh, 5)
         with pytest.raises(ValueError):
             weights_row(1.0, mesh, 2)
+        for n, stop in [(2, 2), (3, 2), (1, 6), (0, 3)]:
+            with pytest.raises(ValueError):
+                weights_row(0.5, mesh, n, stop)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_block_rows_are_the_single_rows(self, alpha):
+        # Bit for bit, padded with zeros past each level.
+        for mesh in _meshes():
+            for n, stop in [(1, 2), (1, mesh.N + 1), (3, 7), (mesh.N, mesh.N + 1)]:
+                block = weights_row(alpha, mesh, n, stop)
+                assert block.shape == (stop - n, stop - 1)
+                assert not block.flags.writeable
+                for i, level in enumerate(range(n, stop)):
+                    assert np.array_equal(block[i, :level], weights_row(alpha, mesh, level))
+                    assert not block[i, level:].any()
+
+    def test_block_names_the_first_bad_weight(self):
+        # Steps of 1e-300 up to t_34, then t_35 = 0.5: from level 35 on,
+        # every weight of those steps rounds to zero.
+        t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
+        mesh = TemporalMesh(t=t, T=1.0)
+        assert weights_row(0.5, mesh, 1, 35).shape == (34, 34)
+        with pytest.raises(ValueError, match="weight a_1 of level 35 is not positive"):
+            weights_row(0.5, mesh, 33, 41)
 
 
 class TestMidpointConvolution:

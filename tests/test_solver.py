@@ -66,6 +66,18 @@ def _dense_march(problem, M, mesh, scheme):
     return np.array(u)
 
 
+def _oracle_problem(problem, closed_form, alpha=0.6):
+    """``sine_decay``, ``manufactured_sin``'s forcing with phi = sin(pi x),
+    or ``_boundary_forced``; without its closed-form forcing integral if
+    ``closed_form`` is false."""
+    p = sine_decay(alpha)
+    if problem == "forced-sine":
+        p = dataclasses.replace(manufactured_sin(alpha), phi=p.phi, exact_u=None)
+    elif problem == "boundary-forced":
+        p = _boundary_forced(alpha)
+    return p if closed_form else dataclasses.replace(p, exact_f_conv=None)
+
+
 def _boundary_forced(alpha):
     """phi = 0 and f = 1 + t, which is nonzero at both ends of the interval.
 
@@ -141,6 +153,7 @@ class TestBothSchemes:
         got = solve(p, SpatialGrid(M), mesh, scheme).values
         np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("block", [2, 3, 32])
     @pytest.mark.parametrize("N", [13, 27])
     @pytest.mark.parametrize(
         "scheme, problem, closed_form",
@@ -156,27 +169,53 @@ class TestBothSchemes:
         ],
     )
     def test_toeplitz_march_matches_dense_oracle(
-        self, monkeypatch, scheme, problem, closed_form, N
+        self, monkeypatch, scheme, problem, closed_form, N, block
     ):
-        # Blocks of 4 levels and one-column FFT chunks, so uniform solves at
-        # small odd N run merges of 4, 8 and 16 levels, some cut off by N.
+        # Leaves of 4 levels and one-block-wide product and FFT chunks, so
+        # uniform solves at small odd N run merges of 4, 8 and 16 levels at
+        # block starts, some cut off by N.  Blocks of 2 and 3 levels are
+        # smaller than a leaf (3 is cut off by the leaf end) and the last
+        # block is cut off by N; 32 is capped at the leaf.
         monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
+        monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
-        alpha = 0.6
-        p = sine_decay(alpha)
-        if problem == "forced-sine":
-            p = dataclasses.replace(manufactured_sin(alpha), phi=p.phi, exact_u=None)
-        elif problem == "boundary-forced":
-            p = _boundary_forced(alpha)
-        if not closed_form:
-            p = dataclasses.replace(p, exact_f_conv=None)
+        p = _oracle_problem(problem, closed_form)
         M, mesh = 8, uniform_time_mesh(1.0, N)
         got = solve(p, SpatialGrid(M), mesh, scheme).values
         np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("block", [1, 3, 5, 32])
+    @pytest.mark.parametrize("N", [13, 27])
+    @pytest.mark.parametrize(
+        "problem, closed_form",
+        [
+            ("sine-decay", True),
+            ("forced-sine", True),
+            ("forced-sine", False),
+            ("boundary-forced", True),
+            ("boundary-forced", False),
+        ],
+    )
+    def test_graded_block_march_matches_dense_oracle(
+        self, monkeypatch, problem, closed_form, N, block
+    ):
+        # A graded mesh has no merges: each block's older history is every
+        # level before it.  Blocks of 1, 3 and 5 levels, the last cut off by
+        # N, and one of 32 that holds the whole march; one-block-wide
+        # product chunks.
+        monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
+        monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
+        p = _oracle_problem(problem, closed_form)
+        M, mesh = 8, graded_time_mesh(1.0, N, 2.0)
+        got = solve(p, SpatialGrid(M), mesh).values
+        np.testing.assert_allclose(
+            got, _dense_march(p, M, mesh, SchemeKind.TRANSFORMED), rtol=1e-12, atol=1e-14
+        )
+
     @pytest.mark.parametrize(
         "grading, closed_form, rows",
-        [(1.0, True, 1), (1.0, False, 1), (2.0, True, 40), (2.0, False, 40)],
+        # Graded: one call per block of levels, [1, 33) and [33, 41).
+        [(1.0, True, 1), (1.0, False, 1), (2.0, True, 2), (2.0, False, 2)],
     )
     def test_kernel_rows_and_forcing_samples_per_solve(
         self, monkeypatch, grading, closed_form, rows
@@ -201,23 +240,36 @@ class TestBothSchemes:
         assert len(row_calls) == rows
         assert len(f_calls) == (0 if closed_form else 40 + 1)
 
-    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    @pytest.mark.parametrize(
+        "grading, scheme",
+        [(1.0, SchemeKind.TRANSFORMED), (1.0, SchemeKind.L1), (2.0, SchemeKind.TRANSFORMED)],
+    )
     @pytest.mark.parametrize("closed_form", [True, False])
     @pytest.mark.parametrize(
-        "N, bad, small",
+        "N, bad, leaf, block",
         [
-            (8, 3, False),
-            # Level 14 is in the fifth forcing block, after merges at levels 5, 9 and 13.
-            (40, 14, True),
+            # Level 3 is inside the one block [1, 9).
+            (8, 3, None, None),
+            # Level 14 is inside the block [13, 17) and the fifth forcing
+            # block; a uniform mesh merges at levels 5, 9 and 13.
+            (40, 14, 4, None),
+            # Level 13 is inside the block [12, 15) of the leaf [9, 17).
+            (40, 13, 8, 3),
         ],
     )
     def test_non_finite_forcing_names_the_first_bad_level(
-        self, monkeypatch, scheme, closed_form, N, bad, small
+        self, monkeypatch, grading, scheme, closed_form, N, bad, leaf, block
     ):
-        if small:
+        # Levels after the bad one are not finite either; a product that
+        # carried any of them into an earlier level of its block, even with
+        # weight 0, would make that level the first bad one.
+        if leaf:
             _use_small_blocks(monkeypatch)
+            monkeypatch.setattr(fracheat.solver, "_LEAF", leaf)
+        if block:
+            monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         base = manufactured_sin(0.5)
-        mesh = uniform_time_mesh(1.0, N)
+        mesh = graded_time_mesh(1.0, N, grading)
         t_bad = mesh.t[bad]
 
         def poisoned(fn):
