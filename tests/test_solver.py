@@ -171,11 +171,11 @@ class TestBothSchemes:
     def test_toeplitz_march_matches_dense_oracle(
         self, monkeypatch, scheme, problem, closed_form, N, block
     ):
-        # Leaves of 4 levels and one-block-wide product and FFT chunks, so
-        # uniform solves at small odd N run merges of 4, 8 and 16 levels at
-        # block starts, some cut off by N.  Blocks of 2 and 3 levels are
-        # smaller than a leaf (3 is cut off by the leaf end) and the last
-        # block is cut off by N; 32 is capped at the leaf.
+        # Leaves of 4 levels, one-column FFT chunks and product chunks one
+        # block wide, so uniform solves at small odd N run merges of 4, 8
+        # and 16 levels at block starts, some cut off by N.  Blocks of 2 and
+        # 3 levels are smaller than a leaf (3 is cut off by the leaf end)
+        # and the last block is cut off by N; 32 is capped at the leaf.
         monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
