@@ -2,9 +2,13 @@
 
 Two subcommands: ``run`` solves a single problem instance and writes the
 solution, ``converge`` runs a refinement ladder and writes the error
-report.  Each renders its report as text here, and ``_emit`` writes it to
-stdout or to the ``--output`` file.  Usage problems exit with status 2,
-runtime failures with 1.
+report.  Each computes its results first and then hands ``_emit`` its
+report as an iterable of text chunks: the whole converge report as one
+chunk, and a run dump as the header followed by one chunk per time level.
+``_emit`` writes the chunks as they come to stdout or to the ``--output``
+file, so a failing computation writes no file and a lattice dump holds only
+one level's text at a time.  Usage problems exit with status 2, runtime
+failures with 1.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .harness import SweepConfig, build_time_mesh, parse_mesh_kind, run_sweep
 from .meshes import SpatialGrid
@@ -116,12 +120,12 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error("run takes a single time step count")
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 # Per report format: the column separator and each column's format spec.
@@ -132,28 +136,50 @@ _DUMP_FORMATS = {
 }
 
 
-def _dump_run(args: argparse.Namespace) -> str:
-    """The final-time profile (x, u) or the lattice (t, x, u), one node a line."""
+def _percent_spec(spec: str) -> str:
+    """The ``%`` conversion that renders a float as ``format(v, spec)`` does.
+
+    Every spec above is right-aligned, which is also the default of ``%``.
+    """
+    return "%" + spec.lstrip(">")
+
+
+def _dump_run(args: argparse.Namespace) -> Iterator[str]:
+    """Solve, then return the final-time profile (x, u) or the lattice (t, x, u).
+
+    The solve runs here, before any text exists; the report comes back as a
+    lazy iterable of chunks, one node a line.
+    """
     problem = get_problem(args.problem, args.alpha[0], args.final_time)
     grid = SpatialGrid(args.spatial_cells)
     mesh = build_time_mesh(args.mesh, args.final_time, args.time_steps[0])
     lattice = solve(problem, grid, mesh, SchemeKind(args.scheme))
+    x = grid.x.tolist()
     if args.dump == "profile":
-        columns, levels = ("x", "u"), [(None, lattice.values[-1])]
-    else:
-        columns, levels = ("t", "x", "u"), zip(mesh.t.tolist(), lattice.values)
-    sep, spec = _DUMP_FORMATS[args.format]
-    lines = [sep.join(format(c, spec[c].split(".")[0]) for c in columns)]
-    # Each t and each x is formatted once; lines are built level by level.
-    x_cells = [format(x, spec["x"]) + sep for x in grid.x.tolist()]
-    u_spec = spec["u"]
+        return _dump_chunks(("x", "u"), x, [(None, lattice.values[-1])], args.format)
+    levels = zip(mesh.t.tolist(), lattice.values)
+    return _dump_chunks(("t", "x", "u"), x, levels, args.format)
+
+
+def _dump_chunks(columns, x: list[float], levels, fmt: str) -> Iterator[str]:
+    """The header line, then one chunk of text per (t or None, row) level.
+
+    One template serves every level: each node's x text, the separators and
+    a ``%`` conversion for its u, with a slot for the level's t text before
+    each node.  A level puts its t text in once and fills the u values with
+    one ``%`` operation.
+    """
+    sep, spec = _DUMP_FORMATS[fmt]
+    yield sep.join(format(c, spec[c].split(".")[0]) for c in columns) + "\n"
+    u_conv = sep + _percent_spec(spec["u"]) + "\n"
+    # slots[0] is empty, so joining the slots with t text starts every line with it
+    slots = [""] + [format(xi, spec["x"]) + u_conv for xi in x]
     for t, row in levels:
-        prefix = "" if t is None else format(t, spec["t"]) + sep
-        lines += [prefix + x + format(u, u_spec) for x, u in zip(x_cells, row.tolist())]
-    return "\n".join(lines) + "\n"
+        t_text = "" if t is None else format(t, spec["t"]) + sep
+        yield t_text.join(slots) % tuple(row.tolist())
 
 
-def _converge_report(args: argparse.Namespace) -> str:
+def _converge_report(args: argparse.Namespace) -> list[str]:
     config = SweepConfig(
         alphas=args.alpha,
         M=args.spatial_cells,
@@ -165,7 +191,7 @@ def _converge_report(args: argparse.Namespace) -> str:
         norm=args.norm,
     )
     report = run_sweep(config)
-    return report.to_csv() if args.format == "csv" else report.to_text()
+    return [report.to_csv() if args.format == "csv" else report.to_text()]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -173,8 +199,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
     try:
-        text = _dump_run(args) if args.command == "run" else _converge_report(args)
-        _emit(text, args.output)
+        chunks = _dump_run(args) if args.command == "run" else _converge_report(args)
+        _emit(chunks, args.output)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"fracheat: error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,6 @@ and a destination is the command line's job.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,25 +36,39 @@ __all__ = [
 CSV_HEADER = "alpha,scheme,mesh,M,N,E1,rate,wall_seconds"
 
 
+# Error rows scored per block: about 64 KB of doubles.
+_SCORE_BYTES = 1 << 16
+
+
 def _worst_level(
     lattice: SolutionLattice,
     exact: Callable[[np.ndarray, float], np.ndarray],
-    level_error: Callable[[np.ndarray], float],
+    level_errors: Callable[[np.ndarray], np.ndarray],
 ) -> float:
-    """Largest ``level_error`` of any level's difference from ``exact``.
+    """Largest level error of the lattice's difference from ``exact``.
 
-    The difference lives in one buffer reused for every level, so
-    ``level_error`` may overwrite it.  A non-finite error raises.
+    ``exact`` is called once per level, and the differences of a block of
+    levels fill the rows of one reused buffer, which ``level_errors`` may
+    overwrite while it returns one error per row.  A non-finite error
+    raises, naming the first level that has one.
     """
-    values, x = lattice.values, lattice.grid.x
-    diff = np.empty(values.shape[1])
+    values, x, t = lattice.values, lattice.grid.x, lattice.mesh.t.tolist()
+    rows = max(1, _SCORE_BYTES // values[0].nbytes)
+    buf = np.empty((min(rows, len(t)), values.shape[1]))
     worst = 0.0
-    for n, t in enumerate(lattice.mesh.t.tolist()):
-        np.subtract(values[n], exact(x, t), out=diff)
-        err = level_error(diff)
-        if not math.isfinite(err):
-            raise ValueError(f"error at level {n} (t = {t:g}) is not finite ({err})")
-        worst = max(worst, err)
+    for start in range(0, len(t), rows):
+        diff = buf[: min(rows, len(t) - start)]
+        for k, row in enumerate(diff):
+            row[:] = exact(x, t[start + k])
+        np.subtract(values[start : start + len(diff)], diff, out=diff)
+        errs = level_errors(diff)
+        bad = np.flatnonzero(~np.isfinite(errs))
+        if bad.size:
+            n = start + int(bad[0])
+            raise ValueError(
+                f"error at level {n} (t = {t[n]:g}) is not finite ({float(errs[bad[0]])})"
+            )
+        worst = max(worst, float(errs.max()))
     return worst
 
 
@@ -66,7 +79,7 @@ def max_lattice_error(
 
     A non-finite error at any level raises ValueError.
     """
-    return _worst_level(lattice, exact, lambda d: float(np.abs(d, out=d).max()))
+    return _worst_level(lattice, exact, lambda d: np.abs(d, out=d).max(axis=1))
 
 
 def lattice_error(
@@ -83,12 +96,13 @@ def lattice_error(
     if norm == "max":
         return max_lattice_error(lattice, exact)
     if norm == "l2":
-        level = lambda d: norm_l2(d, lattice.grid.h)
+        level = norm_l2
     elif norm == "a":
-        level = lambda d: norm_energy(d, lattice.grid.h)
+        level = norm_energy
     else:
         raise ValueError(f"unknown norm {norm!r} (known: max, a, l2)")
-    return _worst_level(lattice, exact, level)
+    h = lattice.grid.h
+    return _worst_level(lattice, exact, lambda d: np.array([level(row, h) for row in d]))
 
 
 def parse_mesh_kind(mesh_kind: str) -> float:

@@ -78,8 +78,8 @@ class SeriesSolution:
     a correctness probe rather than a production path: each mode argument
     (m pi)**2 t**alpha must stay within the Mittag-Leffler evaluator's
     admissible range, and for sizeable arguments (or small alpha) the
-    alternating series loses precision or stops converging within its term
-    budget, in which case evaluation raises.
+    alternating series cancels too much or stops converging within its
+    term budget, in which case evaluation raises.
     """
 
     alpha: float

@@ -17,6 +17,10 @@ __all__ = ["gamma", "MLParams", "mittag_leffler", "SeriesConvergenceError"]
 # exp(x) overflows float64 a little above 709; stay clear of the edge.
 _LOG_OVERFLOW = 700.0
 
+# Largest rounding that cancellation may leave in a returned sum, relative
+# to |sum|; that rounding is about (largest |term|) * 2**-52.
+_CANCELLATION_TOL = 1e-7
+
 
 class SeriesConvergenceError(RuntimeError):
     """Raised when a series evaluation stops before meeting its tolerance."""
@@ -89,14 +93,15 @@ def mittag_leffler(params: MLParams) -> float:
     than ``tol`` times the running sum in magnitude.
 
     For z < 0 the series alternates and cancellation grows quickly with
-    |z| (and faster for small beta): the returned value is then accurate
-    only to roughly ``max_term * eps`` absolutely.  Callers that need the
-    value as a reference should keep |z| modest.
+    |z| (and faster for small beta): it leaves a rounding error of about
+    the largest |term| times 2**-52.  Where that exceeds
+    ``_CANCELLATION_TOL`` times |sum|, the value is refused.
 
     Raises
     ------
     SeriesConvergenceError
-        If ``max_terms`` terms do not reach the tolerance.
+        If ``max_terms`` terms do not reach the tolerance, or if the
+        cancellation rounding exceeds ``_CANCELLATION_TOL`` of the sum.
     """
     z = params.z
     if z == 0.0:
@@ -105,6 +110,7 @@ def mittag_leffler(params: MLParams) -> float:
     log_abs_z = math.log(abs(z))
     negative = z < 0.0
     total = 1.0  # n = 0 term
+    largest = 1.0
     for n in range(1, params.max_terms + 1):
         log_mag = n * log_abs_z - math.lgamma(1.0 + n * params.beta)
         if log_mag > _LOG_OVERFLOW:
@@ -114,7 +120,13 @@ def mittag_leffler(params: MLParams) -> float:
         mag = math.exp(log_mag)
         term = -mag if (negative and n % 2 == 1) else mag
         total += term
+        largest = max(largest, mag)
         if mag <= params.tol * abs(total):
+            if largest * 2.0**-52 > _CANCELLATION_TOL * abs(total):
+                raise SeriesConvergenceError(
+                    f"cancellation: largest term {largest:.3g} times 2**-52 exceeds "
+                    f"{_CANCELLATION_TOL:g} of the sum {total:.3g} (z={z}, beta={params.beta})"
+                )
             return total
     raise SeriesConvergenceError(
         f"no convergence after {params.max_terms} terms "

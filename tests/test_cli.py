@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
-from fracheat.cli import main
+import fracheat.cli
+from fracheat.cli import _DUMP_FORMATS, _percent_spec, main
 from fracheat.harness import SweepConfig, run_sweep
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.problems import manufactured_sin
@@ -77,6 +80,18 @@ class TestConverge:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_cancelled_reference_exits_one(self, capsys):
+        # E_0.5(-pi**2) at t = 1: the series cancels some 40 digits, and the
+        # report used to print E1 = 9.13974e+27 with exit status 0
+        rc = main([
+            "converge", "--problem", "sine-decay", "--alpha", "0.5",
+            "--spatial-cells", "20", "--time-steps", "10:40:x2",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fracheat: error:")
+        assert captured.out == ""
+
 
 class TestConvergeOutputFile:
     @pytest.mark.parametrize("fmt", ["csv", "table"])
@@ -124,6 +139,73 @@ class TestRunBytes:
         lattice = solve(manufactured_sin(0.5), grid, m)
         expected = dump_text(grid.x, m.t, lattice.values, dump, fmt)
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_lattice_output_file_matches_oracle(self, fmt, tmp_path, capsys):
+        path = tmp_path / "lattice.txt"
+        rc = main([
+            "run", "--alpha", "0.5", "--spatial-cells", "10", "--time-steps", "9",
+            "--dump", "lattice", "--format", fmt, "--output", str(path),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        grid, m = SpatialGrid(10), uniform_time_mesh(1.0, 9)
+        lattice = solve(manufactured_sin(0.5), grid, m)
+        expected = dump_text(grid.x, m.t, lattice.values, "lattice", fmt)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+# Signed zero, subnormal and normal extremes, and values on the rounding
+# edges of .10g (1e-5 and 1e10 switch it to exponent form).
+_EDGE_VALUES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.99999999995e-6, 9999999999.5,
+    1e10, 0.1 + 0.2, 1 / 3, 1.5e-300, 1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize(
+    "spec", sorted({s for _, specs in _DUMP_FORMATS.values() for s in specs.values()})
+)
+def test_percent_spec_renders_like_format(spec):
+    conversion = _percent_spec(spec)
+    for v in _EDGE_VALUES + [-v for v in _EDGE_VALUES]:
+        assert conversion % v == format(v, spec), v
+
+
+class TestRunStreaming:
+    def test_lattice_dump_memory_is_the_lattice(self, tmp_path, capsys):
+        # The text of the whole report is about 4.5 MB here; only one
+        # level of it may be alive at a time.
+        M, N = 100, 1024
+        lattice_bytes = (N + 1) * (M + 1) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rc = main([
+                "run", "--alpha", "0.5", "--spatial-cells", str(M),
+                "--time-steps", str(N), "--dump", "lattice",
+                "--output", str(tmp_path / "lattice.csv"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 3 * lattice_bytes
+
+    def test_failed_solve_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        def failing_solve(*args, **kwargs):
+            raise ValueError("solve failed")
+
+        monkeypatch.setattr(fracheat.cli, "solve", failing_solve)
+        path = tmp_path / "lattice.csv"
+        rc = main([
+            "run", "--alpha", "0.5", "--spatial-cells", "8", "--time-steps", "4",
+            "--dump", "lattice", "--output", str(path),
+        ])
+        assert rc == 1
+        assert "solve failed" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestRun:

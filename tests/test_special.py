@@ -84,6 +84,25 @@ class TestMittagLeffler:
         with pytest.raises(SeriesConvergenceError):
             mittag_leffler(MLParams(beta=0.5, z=49.0, max_terms=20))
 
+    @pytest.mark.parametrize(
+        "beta,z",
+        [
+            (0.5, -math.pi**2),  # sine-decay at t = 1: true value 0.0569
+            (0.5, -math.pi**2 * 0.5**0.5),  # t = 0.5: 0.0800
+            (0.9, -26.5),  # 0.00424
+            (0.75, -math.pi**2),  # 0.0311
+        ],
+    )
+    def test_cancellation_guard_raises(self, beta, z):
+        # The largest term times 2**-52 is 2e-3, 2.2e-3, 0.11 and 9.7e-7 of
+        # the true value, which the sum would miss by that much or more.
+        with mp.workdps(80):
+            largest = max(abs(mp.mpf(z) ** n / mp.gamma(1 + n * beta)) for n in range(200))
+            true = _ml_reference(beta, z)
+        assert float(largest) * 2.0**-52 > 1e-7 * true > 0.0
+        with pytest.raises(SeriesConvergenceError, match="cancellation"):
+            mittag_leffler(MLParams(beta=beta, z=z))
+
     def test_overflow_guard_raises(self):
         # Small beta barely damps the terms, so z = -50 blows past the
         # representable range before the series can turn over.
