@@ -2,13 +2,11 @@
 
 Two subcommands: ``run`` solves a single problem instance and writes the
 solution, ``converge`` runs a refinement ladder and writes the error
-report.  Each computes its results first and then hands ``_emit`` its
-report as an iterable of text chunks: the whole converge report as one
-chunk, and a run dump as the header followed by one chunk per time level.
-``_emit`` writes the chunks as they come to stdout or to the ``--output``
-file, so a failing computation writes no file and a lattice dump holds only
-one level's text at a time.  Usage problems exit with status 2, runtime
-failures with 1.
+report.  Each computes its results before it renders any text, then hands
+``_emit`` the report as chunks: the converge report in one, a run dump as
+its header and then one chunk per time level.  ``_emit`` writes them as
+they come to stdout or to the ``--output`` file.  Usage problems exit with
+status 2, runtime failures with 1.
 """
 
 from __future__ import annotations
@@ -145,11 +143,8 @@ def _percent_spec(spec: str) -> str:
 
 
 def _dump_run(args: argparse.Namespace) -> Iterator[str]:
-    """Solve, then return the final-time profile (x, u) or the lattice (t, x, u).
-
-    The solve runs here, before any text exists; the report comes back as a
-    lazy iterable of chunks, one node a line.
-    """
+    """Solve, then return the chunks of the final-time profile (x, u) or of
+    the lattice (t, x, u), one node a line."""
     problem = get_problem(args.problem, args.alpha[0], args.final_time)
     grid = SpatialGrid(args.spatial_cells)
     mesh = build_time_mesh(args.mesh, args.final_time, args.time_steps[0])
@@ -162,12 +157,12 @@ def _dump_run(args: argparse.Namespace) -> Iterator[str]:
 
 
 def _dump_chunks(columns, x: list[float], levels, fmt: str) -> Iterator[str]:
-    """The header line, then one chunk of text per (t or None, row) level.
+    """The header line, then the text of each (t or None, row) level.
 
-    One template serves every level: each node's x text, the separators and
-    a ``%`` conversion for its u, with a slot for the level's t text before
-    each node.  A level puts its t text in once and fills the u values with
-    one ``%`` operation.
+    One template per grid holds each node's x text, the separators and a
+    ``%`` conversion for its u, with a slot for the level's t text before
+    each node; a level fills the slots with one join and its u values with
+    one ``%``.
     """
     sep, spec = _DUMP_FORMATS[fmt]
     yield sep.join(format(c, spec[c].split(".")[0]) for c in columns) + "\n"

@@ -94,11 +94,12 @@ class TestMittagLeffler:
         ],
     )
     def test_cancellation_guard_raises(self, beta, z):
-        # The largest term times 2**-52 is 2e-3, 2.2e-3, 0.11 and 9.7e-7 of
-        # the true value, which the sum would miss by that much or more.
+        # The largest term times 2**-52 is 3e26, 2e5, 124 and 9.7e-7 of the
+        # true value, so none of these sums is good to 1e-7 relative.
         with mp.workdps(80):
-            largest = max(abs(mp.mpf(z) ** n / mp.gamma(1 + n * beta)) for n in range(200))
-            true = _ml_reference(beta, z)
+            # 1000 terms leave a tail below 1e-70 for each case
+            terms = [mp.mpf(z) ** n / mp.gamma(1 + mp.mpf(n) * beta) for n in range(1000)]
+            largest, true = max(abs(v) for v in terms), float(mp.fsum(terms))
         assert float(largest) * 2.0**-52 > 1e-7 * true > 0.0
         with pytest.raises(SeriesConvergenceError, match="cancellation"):
             mittag_leffler(MLParams(beta=beta, z=z))
