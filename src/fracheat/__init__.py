@@ -11,7 +11,6 @@ from .harness import (
     ConvergenceReport,
     ReportRow,
     SweepConfig,
-    build_time_mesh,
     lattice_error,
     max_lattice_error,
     parse_mesh_kind,
@@ -25,22 +24,17 @@ from .problems import (
     available_problems,
     get_problem,
     manufactured_sin,
-    series_reference,
     sine_decay,
     zero_problem,
 )
-from .quadrature import (
-    midpoint_convolution,
-    weights_row,
-)
+from .quadrature import weights_row
 from .solver import SchemeKind, SolutionLattice, solve
-from .special import MLParams, SeriesConvergenceError, gamma, mittag_leffler
+from .special import SeriesConvergenceError, gamma, mittag_leffler
 
 __all__ = [
     "ConvergenceReport",
     "ReportRow",
     "SweepConfig",
-    "build_time_mesh",
     "lattice_error",
     "max_lattice_error",
     "parse_mesh_kind",
@@ -58,15 +52,12 @@ __all__ = [
     "available_problems",
     "get_problem",
     "manufactured_sin",
-    "series_reference",
     "sine_decay",
     "zero_problem",
-    "midpoint_convolution",
     "weights_row",
     "SchemeKind",
     "SolutionLattice",
     "solve",
-    "MLParams",
     "SeriesConvergenceError",
     "gamma",
     "mittag_leffler",

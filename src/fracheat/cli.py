@@ -16,8 +16,8 @@ import math
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .harness import SweepConfig, build_time_mesh, parse_mesh_kind, run_sweep
-from .meshes import SpatialGrid
+from .harness import SweepConfig, parse_mesh_kind, run_sweep
+from .meshes import SpatialGrid, graded_time_mesh
 from .problems import available_problems, get_problem
 from .solver import SchemeKind, solve
 
@@ -147,7 +147,7 @@ def _dump_run(args: argparse.Namespace) -> Iterator[str]:
     the lattice (t, x, u), one node a line."""
     problem = get_problem(args.problem, args.alpha[0], args.final_time)
     grid = SpatialGrid(args.spatial_cells)
-    mesh = build_time_mesh(args.mesh, args.final_time, args.time_steps[0])
+    mesh = graded_time_mesh(args.final_time, args.time_steps[0], parse_mesh_kind(args.mesh))
     lattice = solve(problem, grid, mesh, SchemeKind(args.scheme))
     x = grid.x.tolist()
     if args.dump == "profile":

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .meshes import SpatialGrid, TemporalMesh, graded_time_mesh
+from .meshes import SpatialGrid, graded_time_mesh
 from .operators import norm_energy, norm_l2
 from .problems import get_problem
 from .solver import SchemeKind, SolutionLattice, solve
@@ -29,7 +29,6 @@ __all__ = [
     "max_lattice_error",
     "lattice_error",
     "parse_mesh_kind",
-    "build_time_mesh",
     "run_sweep",
 ]
 
@@ -123,10 +122,6 @@ def parse_mesh_kind(mesh_kind: str) -> float:
     raise ValueError(f"unknown mesh kind {mesh_kind!r} (use uniform or graded:<r>)")
 
 
-def build_time_mesh(mesh_kind: str, T: float, N: int) -> TemporalMesh:
-    return graded_time_mesh(T, N, parse_mesh_kind(mesh_kind))
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything one convergence sweep depends on.
@@ -211,7 +206,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     """
     grid = SpatialGrid(config.M)
     rows: list[ReportRow] = []
-    mesh_name = config.mesh_kind
+    grading = parse_mesh_kind(config.mesh_kind)
     for alpha in config.alphas:
         problem = get_problem(config.problem_label, alpha, config.T)
         if problem.exact_u is None:
@@ -220,7 +215,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             )
         prev: Optional[ReportRow] = None
         for N in config.Ns:
-            mesh = build_time_mesh(config.mesh_kind, config.T, N)
+            mesh = graded_time_mesh(config.T, N, grading)
             start = time.perf_counter()
             lattice = solve(problem, grid, mesh, config.scheme)
             wall = time.perf_counter() - start
@@ -231,7 +226,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
             row = ReportRow(
                 alpha=alpha,
                 scheme=config.scheme.value,
-                mesh=mesh_name,
+                mesh=config.mesh_kind,
                 M=config.M,
                 N=N,
                 E1=err,

@@ -18,12 +18,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .special import MLParams, gamma, mittag_leffler
+from .special import gamma, mittag_leffler
 
 __all__ = [
     "ProblemSpec",
     "SeriesSolution",
-    "series_reference",
     "manufactured_sin",
     "zero_problem",
     "sine_decay",
@@ -32,6 +31,11 @@ __all__ = [
 ]
 
 SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
+
+
+def _zeros(x: np.ndarray, t: float = 0.0) -> np.ndarray:
+    """Zero initial data, forcing or solution, as phi(x) or f(x, t)."""
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -75,17 +79,14 @@ class SeriesSolution:
 
         u(x, t) = sum_m c_m E_alpha(-(m pi)**2 t**alpha) sin(m pi x),
 
-    a correctness probe rather than a production path: each mode argument
-    (m pi)**2 t**alpha must stay within the Mittag-Leffler evaluator's
-    admissible range, and for sizeable arguments (or small alpha) the
-    alternating series cancels too much or stops converging within its
-    term budget, in which case evaluation raises.
+    a correctness probe rather than a production path: for sizeable mode
+    arguments (m pi)**2 t**alpha (or small alpha) the alternating series
+    cancels too much, overflows or stops converging within its term
+    budget, in which case evaluation raises.
     """
 
     alpha: float
     coefficients: np.ndarray
-    tol: float = 1e-14
-    max_terms: int = 500
 
     def __post_init__(self) -> None:
         c = np.ascontiguousarray(self.coefficients, dtype=float)
@@ -99,8 +100,8 @@ class SeriesSolution:
             raise ValueError("mode coefficients must be finite")
 
     def evaluate(self, x: np.ndarray, t: float) -> np.ndarray:
-        if t < 0.0:
-            raise ValueError(f"time must be nonnegative, got t={t}")
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"time must be nonnegative and finite, got t={t}")
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         ta = t**self.alpha
@@ -108,16 +109,9 @@ class SeriesSolution:
             if c == 0.0:
                 continue
             z = -((m * np.pi) ** 2) * ta
-            factor = mittag_leffler(
-                MLParams(beta=self.alpha, z=z, tol=self.tol, max_terms=self.max_terms)
-            )
+            factor = mittag_leffler(self.alpha, z)
             out += c * factor * np.sin(m * np.pi * x)
         return out
-
-
-def series_reference(alpha: float, coefficients: np.ndarray) -> SeriesSolution:
-    """Exact-solution evaluator for f = 0, phi = sum_m c_m sin(m pi x)."""
-    return SeriesSolution(alpha=alpha, coefficients=np.asarray(coefficients, float))
 
 
 def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
@@ -136,9 +130,6 @@ def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
     g3m = gamma(3.0 - alpha)
     g3p = gamma(3.0 + alpha)
 
-    def phi(x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     def f(x: np.ndarray, t: float) -> np.ndarray:
         return np.sin(np.pi * x) * (np.pi**2 * t**2 + 2.0 * t ** (2.0 - alpha) / g3m)
 
@@ -154,7 +145,7 @@ def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
         label="manufactured-sin",
         alpha=alpha,
         T=T,
-        phi=phi,
+        phi=_zeros,
         f=f,
         exact_u=exact_u,
         exact_f_conv=exact_f_conv,
@@ -163,21 +154,14 @@ def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
 
 def zero_problem(alpha: float, T: float = 1.0) -> ProblemSpec:
     """phi = 0, f = 0: the solution is identically zero."""
-
-    def zero_x(x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def zero_xt(x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return ProblemSpec(
         label="zero",
         alpha=alpha,
         T=T,
-        phi=zero_x,
-        f=zero_xt,
-        exact_u=zero_xt,
-        exact_f_conv=zero_xt,
+        phi=_zeros,
+        f=_zeros,
+        exact_u=_zeros,
+        exact_f_conv=_zeros,
     )
 
 
@@ -187,28 +171,18 @@ def sine_decay(alpha: float, T: float = 1.0) -> ProblemSpec:
     The exact solution is the one-mode series reference; evaluating it at
     large pi**2 T**alpha raises, see ``SeriesSolution``.
     """
-    series = series_reference(alpha, np.array([1.0]))
 
     def phi(x: np.ndarray) -> np.ndarray:
         return np.sin(np.pi * np.asarray(x, dtype=float))
-
-    def f(x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def exact_u(x: np.ndarray, t: float) -> np.ndarray:
-        return series.evaluate(x, t)
-
-    def exact_f_conv(x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     return ProblemSpec(
         label="sine-decay",
         alpha=alpha,
         T=T,
         phi=phi,
-        f=f,
-        exact_u=exact_u,
-        exact_f_conv=exact_f_conv,
+        f=_zeros,
+        exact_u=SeriesSolution(alpha, np.array([1.0])).evaluate,
+        exact_f_conv=_zeros,
     )
 
 

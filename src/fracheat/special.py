@@ -4,15 +4,15 @@ Everything downstream (quadrature weights, closed-form forcings, series
 references) funnels its special-function needs through this module so the
 conventions live in one place: ``gamma`` rejects the nonpositive axis, and
 ``mittag_leffler`` evaluates E_beta(z) by its Taylor series with terms formed
-in log space.
+in log space, stopping at the relative tolerance ``_TOL`` or after
+``_MAX_TERMS`` terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["gamma", "MLParams", "mittag_leffler", "SeriesConvergenceError"]
+__all__ = ["gamma", "mittag_leffler", "SeriesConvergenceError"]
 
 # exp(x) overflows float64 a little above 709; stay clear of the edge.
 _LOG_OVERFLOW = 700.0
@@ -20,6 +20,10 @@ _LOG_OVERFLOW = 700.0
 # Largest rounding that cancellation may leave in a returned sum, relative
 # to |sum|; that rounding is about (largest |term|) * 2**-52.
 _CANCELLATION_TOL = 1e-7
+
+# Relative truncation tolerance for the partial sums, and the term budget.
+_TOL = 1e-14
+_MAX_TERMS = 500
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -51,59 +55,40 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-@dataclass(frozen=True)
-class MLParams:
-    """Parameters for a Mittag-Leffler evaluation.
-
-    Attributes
-    ----------
-    beta : float
-        Series order in (0, 1].  beta = 1 recovers exp(z).
-    z : float
-        Argument.  |z| must not exceed 50; far beyond that the alternating
-        series is useless in double precision anyway.
-    tol : float
-        Relative truncation tolerance for the partial sums.
-    max_terms : int
-        Hard cap on the number of series terms.
-    """
-
-    beta: float
-    z: float
-    tol: float = 1e-14
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if abs(self.z) > 50.0:
-            raise ValueError(f"|z| must not exceed 50, got z={self.z}")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
-
-
-def mittag_leffler(params: MLParams) -> float:
+def mittag_leffler(beta: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_beta(z) by Taylor series.
 
     E_beta(z) = sum_{n>=0} z^n / Gamma(1 + n*beta).  Terms are formed as
     exp(n*log|z| - lgamma(1 + n*beta)) so that large intermediate factorials
     never overflow.  Summation stops once the term just added is no larger
-    than ``tol`` times the running sum in magnitude.
+    than ``_TOL`` times the running sum in magnitude.
 
     For z < 0 the series alternates and cancellation grows quickly with
     |z| (and faster for small beta): it leaves a rounding error of about
     the largest |term| times 2**-52.  Where that exceeds
     ``_CANCELLATION_TOL`` times |sum|, the value is refused.
 
+    Parameters
+    ----------
+    beta : float
+        Series order in (0, 1].  beta = 1 recovers exp(z).
+    z : float
+        Finite argument.  Where |z| is too large for the series, the
+        overflow or cancellation guard raises.
+
     Raises
     ------
+    ValueError
+        If beta lies outside (0, 1] or z is not finite.
     SeriesConvergenceError
-        If ``max_terms`` terms do not reach the tolerance, or if the
-        cancellation rounding exceeds ``_CANCELLATION_TOL`` of the sum.
+        If ``_MAX_TERMS`` terms do not reach ``_TOL``, if a term overflows,
+        or if the cancellation rounding exceeds ``_CANCELLATION_TOL`` of the
+        sum.
     """
-    z = params.z
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got z={z}")
     if z == 0.0:
         return 1.0
 
@@ -111,24 +96,24 @@ def mittag_leffler(params: MLParams) -> float:
     negative = z < 0.0
     total = 1.0  # n = 0 term
     largest = 1.0
-    for n in range(1, params.max_terms + 1):
-        log_mag = n * log_abs_z - math.lgamma(1.0 + n * params.beta)
+    for n in range(1, _MAX_TERMS + 1):
+        log_mag = n * log_abs_z - math.lgamma(1.0 + n * beta)
         if log_mag > _LOG_OVERFLOW:
             raise SeriesConvergenceError(
-                f"series term overflows at n={n} for z={z}, beta={params.beta}"
+                f"series term overflows at n={n} for z={z}, beta={beta}"
             )
         mag = math.exp(log_mag)
         term = -mag if (negative and n % 2 == 1) else mag
         total += term
         largest = max(largest, mag)
-        if mag <= params.tol * abs(total):
+        if mag <= _TOL * abs(total):
             if largest * 2.0**-52 > _CANCELLATION_TOL * abs(total):
                 raise SeriesConvergenceError(
                     f"cancellation: largest term {largest:.3g} times 2**-52 exceeds "
-                    f"{_CANCELLATION_TOL:g} of the sum {total:.3g} (z={z}, beta={params.beta})"
+                    f"{_CANCELLATION_TOL:g} of the sum {total:.3g} (z={z}, beta={beta})"
                 )
             return total
     raise SeriesConvergenceError(
-        f"no convergence after {params.max_terms} terms "
-        f"(z={z}, beta={params.beta}, tol={params.tol})"
+        f"no convergence after {_MAX_TERMS} terms "
+        f"(z={z}, beta={beta}, tol={_TOL})"
     )

@@ -9,13 +9,12 @@ from fracheat.harness import (
     ConvergenceReport,
     ReportRow,
     SweepConfig,
-    build_time_mesh,
     lattice_error,
     max_lattice_error,
     parse_mesh_kind,
     run_sweep,
 )
-from fracheat.meshes import SpatialGrid, uniform_time_mesh
+from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.problems import manufactured_sin
 from fracheat.solver import SolutionLattice, solve
 
@@ -109,9 +108,9 @@ class TestMeshKindParsing:
             parse_mesh_kind(bad)
 
     def test_build(self):
-        m = build_time_mesh("graded:2", 1.0, 4)
+        m = graded_time_mesh(1.0, 4, parse_mesh_kind("graded:2"))
         assert m.t[1] == pytest.approx(1.0 / 16.0, rel=1e-15)
-        m = build_time_mesh("uniform", 1.0, 4)
+        m = graded_time_mesh(1.0, 4, parse_mesh_kind("uniform"))
         assert m.t[1] == 0.25
 
 

@@ -9,10 +9,10 @@ from fracheat.problems import (
     available_problems,
     get_problem,
     manufactured_sin,
-    series_reference,
     sine_decay,
     zero_problem,
 )
+from fracheat.special import SeriesConvergenceError
 from oracles import fractional_integral_monomial, fractional_integral_quad
 
 ALPHAS = (0.25, 0.5, 0.75)
@@ -99,7 +99,7 @@ class TestSineDecay:
 
 class TestSeriesSolution:
     def test_initial_time_reproduces_coefficients(self):
-        s = series_reference(0.5, np.array([1.0, 0.0, 0.25]))
+        s = SeriesSolution(0.5, np.array([1.0, 0.0, 0.25]))
         x = np.linspace(0.0, 1.0, 33)
         expect = np.sin(np.pi * x) + 0.25 * np.sin(3.0 * np.pi * x)
         np.testing.assert_allclose(s.evaluate(x, 0.0), expect, rtol=1e-14, atol=1e-15)
@@ -113,14 +113,20 @@ class TestSeriesSolution:
 
     def test_frozen_half_order_value(self):
         # alpha = 1/2, t = 0.01: factor is E_{1/2}(-pi^2 / 10)
-        s = series_reference(0.5, np.array([1.0]))
+        s = SeriesSolution(0.5, np.array([1.0]))
         got = float(s.evaluate(np.array([0.5]), 0.01)[0])
         assert got == pytest.approx(0.43117256514905254, rel=1e-12)
 
     def test_argument_envelope_enforced(self):
-        s = series_reference(0.9, np.array([1.0]))
-        with pytest.raises(ValueError):
+        s = SeriesSolution(0.9, np.array([1.0]))
+        with pytest.raises(SeriesConvergenceError):
             s.evaluate(np.array([0.5]), 10.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_nonfinite_time(self, t):
+        p = sine_decay(0.5, T=0.2)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            p.exact_u(np.array([0.5]), t)
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -130,7 +136,7 @@ class TestSeriesSolution:
         with pytest.raises(ValueError):
             SeriesSolution(alpha=1.5, coefficients=np.array([1.0]))
         with pytest.raises(ValueError):
-            s = series_reference(0.5, np.array([1.0]))
+            s = SeriesSolution(0.5, np.array([1.0]))
             s.evaluate(np.array([0.5]), -1.0)
 
 
