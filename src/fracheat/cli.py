@@ -109,7 +109,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"need at least 2 spatial cells, got {args.spatial_cells}")
     if not 0.0 < args.final_time < math.inf:
         parser.error(f"final time must be positive and finite, got {args.final_time:g}")
-    if args.scheme == SchemeKind.L1.value and args.mesh != "uniform":
+    if args.scheme == SchemeKind.L1.value and parse_mesh_kind(args.mesh) != 1.0:
         parser.error("the l1 scheme supports uniform meshes only")
     if args.command == "run":
         if len(args.alpha) != 1:

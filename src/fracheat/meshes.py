@@ -49,6 +49,12 @@ class TemporalMesh:
         object.__setattr__(self, "t", t)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("need at least the two levels t_0 and t_N")
+        finite = np.isfinite(t)
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise ValueError(f"time level t_{n}={t[n]} is not finite")
+        if not np.isfinite(self.T):
+            raise ValueError(f"final time T={self.T} is not finite")
         if t[0] != 0.0:
             raise ValueError(f"mesh must start at 0, got t_0={t[0]}")
         if not np.all(np.diff(t) > 0.0):

@@ -23,23 +23,24 @@ once per level, in increasing t, then averaged and transformed in blocks
 of rows.  The march itself only adds history to those rows and divides,
 with no forcing call and no transform.
 
-On a uniform mesh (steps equal to 1e-12 relative) every weight of either
-scheme depends only on the lag n - j, so the history is a causal Toeplitz
-convolution in time and one kernel row serves the whole solve.  When a
-run of L = _LEAF, 2 _LEAF, 4 _LEAF, ... levels is done and is the first
-half of a run of 2L, its history for the second half is added at once by
-FFT (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985):
-O(M N log^2 N) in all instead of O(M N^2).  The merges add into the
-right-hand-side rows of the levels not yet solved, which start out
-holding the u^0 term; with quadrature forcing the history of the
-transformed samples of f is merged into them too.
+The history of a level is one weighted sum over one source: u, or z with
+quadrature forcing (see below).  On a uniform mesh (steps equal to 1e-12
+relative) every weight of either scheme depends only on the lag n - j, so
+the history is a causal Toeplitz convolution in time and one kernel row
+serves the whole solve.  When a run of L = _LEAF, 2 _LEAF, 4 _LEAF, ...
+levels is done and is the first half of a run of 2L, its history for the
+second half is added at once by FFT (Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6(3), 1985): O(M N log^2 N) in all instead of
+O(M N^2).  The merges add into the right-hand-side rows of the levels not
+yet solved.
 
 The history from inside the current leaf of ``_LEAF`` levels (on a graded
 mesh, all of it) is summed in blocks of ``_BLOCK`` levels: one matrix
 product adds the part from before a block to all its levels, with weights
-viewed in the kernel row or built as one ``weights_row`` block, and then
-the levels are solved in turn, each adding the rows solved before it in
-the block, so no level reads a later one.  The schemes are:
+sliced from one lower-triangular Toeplitz matrix of a leaf or built from
+one ``weights_row`` block, and then the levels are solved in turn, each
+adding the rows solved before it in the block, so no level reads a later
+one.  The schemes are:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
   the problem with the exact kernel step weights a_1..a_n of level n
@@ -49,13 +50,16 @@ the block, so no level reads a later one.  The schemes are:
       rhs^n = H phi + H q^n + D2 sum_{j<n} w_j u^j,   w_j = (a_j + a_{j+1})/2,
 
   where q^n is the fractional integral of the forcing at t_n, either in
-  closed form or by the same product quadrature over samples of f taken
-  once per level.  On a uniform mesh a_k = A_{n-k+1}, with A_1..A_N the
-  weights of level N reversed, and the quadrature of f is a Toeplitz sum
-  too.  Spatial accuracy is fourth order thanks to the compact
-  stencil; the temporal error comes only from averaging the integrand over
-  steps, so no time derivative of the solution is ever formed and graded
-  meshes are supported directly.
+  closed form or by the same product quadrature over samples f_k of f
+  taken once per level, sum_k a_k (f_k + f_{k-1})/2.  That weighs f_j,
+  j < n, with the same w_j as u^j and f_n with r, so the quadrature
+  history is no separate sum: its source is z_j = F_j - mu u^j, with F_j
+  the transformed H f_j, and level n adds r F_n.  On a uniform mesh
+  a_k = A_{n-k+1}, with A_1..A_N the weights of level N reversed.
+  Spatial accuracy is fourth order thanks to the compact stencil; the
+  temporal error comes only from averaging the integrand over steps, so
+  no time derivative of the solution is ever formed and graded meshes
+  are supported directly.
 
 * ``SchemeKind.L1`` is the classical baseline on a uniform mesh: the
   Caputo derivative is replaced by the L1 difference quotient, so (p, r) =
@@ -74,7 +78,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -171,17 +174,15 @@ def _is_uniform(mesh: TemporalMesh) -> bool:
     return bool(steps.max() - steps.min() <= 1e-12 * steps.mean())
 
 
-def _add_far_history(
-    dst: np.ndarray, src: np.ndarray, kernel: np.ndarray, scale: Optional[np.ndarray] = None
-) -> None:
+def _add_far_history(dst: np.ndarray, src: np.ndarray, kernel: np.ndarray, scale: np.ndarray) -> None:
     """Add a finished block's Toeplitz history to the next block's rows.
 
     ``src`` holds the B rows j = 0..B-1 just solved and ``dst`` the (at
     most B) rows i = 0.. after them; row i gains sum_j kernel[B + i - j]
     src[j], with ``kernel`` indexed by the level lag, times ``scale`` per
-    column if given.  The causal sum is one linear convolution along time,
-    taken by FFT of length 2B in column chunks whose working memory stays
-    near ``_MERGE_BYTES``.
+    column.  The causal sum is one linear convolution along time, taken by
+    FFT of length 2B in column chunks whose working memory stays near
+    ``_MERGE_BYTES``.
     """
     half = len(src)
     size = 2 * half
@@ -191,8 +192,7 @@ def _add_far_history(
         spec = np.fft.rfft(src[:, c : c + width], size, axis=0)
         spec *= kernel_fft[:, None]
         hist = np.fft.irfft(spec, size, axis=0)[half : half + len(dst)]
-        if scale is not None:
-            hist *= scale[c : c + width]
+        hist *= scale[c : c + width]
         dst[:, c : c + width] += hist
 
 
@@ -200,16 +200,15 @@ def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale: 
     """Add ``weights @ src``, times ``scale`` per column, to ``dst``.
 
     One matrix product per chunk of columns (a slice of ``src`` near
-    ``_MERGE_BYTES / 8``) into one output buffer; lag windows are copied.
+    ``_MERGE_BYTES / 8``) into one output buffer.
     """
     if not len(src):
         return
-    w = weights.copy() if weights.strides[0] < 0 else weights
     width = max(len(dst), _MERGE_BYTES // (64 * len(src)))
     out = np.empty((len(dst), min(width, src.shape[1])))
     for c in range(0, src.shape[1], width):
         part = out[:, : src.shape[1] - c]
-        np.matmul(w, src[:, c : c + width], out=part)
+        np.matmul(weights, src[:, c : c + width], out=part)
         part *= scale[c : c + width]
         dst[:, c : c + width] += part
 
@@ -239,90 +238,84 @@ def solve(
     if l1 and not uniform:
         raise ValueError("the L1 scheme requires a uniform time mesh")
     if uniform:
-        # Coefficients depend on the lag n - j only: ``lag`` weighs u^j in
-        # level n's history, ``seed`` u^0, and A_1, ..., A_N weigh g.
+        # Coefficients depend on the lag n - j only: ``lag`` weighs row j
+        # of the history source in level n, and ``seed`` its row 0.
         if l1:
             p, r = 1.0 / (gamma(2.0 - alpha) * (mesh.T / N) ** alpha), 1.0
             j = np.arange(N, dtype=float)
             seed = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
             lag = np.concatenate(([0.0], seed[:-1] - seed[1:]))
         else:
-            row = weights_row(alpha, mesh, N)
-            A = row[::-1]
+            A = weights_row(alpha, mesh, N)[::-1]
             p, r = 1.0, 0.5 * A[0]
             seed = 0.5 * A
             lag = np.concatenate(([0.0], 0.5 * (A[:-1] + A[1:])))
-        # Lags _LEAF-1..0 of ``lag`` and A, then zeros for negative lags:
-        # rev[:, _LEAF - 1 - (n - j)] weighs u^j (g[j]) in level n.
-        near = np.stack([k[_LEAF - 1 :: -1] for k in (lag, lag if l1 else A)])
-        rev = np.zeros((2, _LEAF + _BLOCK))
-        rev[:, _LEAF - near.shape[1] : _LEAF] = near
-        windows = np.lib.stride_tricks.sliding_window_view
+        # near[n - lo, j - lo] weighs row j in level n of a leaf from lo;
+        # lag[0] = 0 covers j >= n.
+        k = np.arange(min(_LEAF, N))
+        near = lag[np.maximum(k[:, None] - k, 0)]
         den = np.broadcast_to(_denominators(p, r, h, s), (_BLOCK, M + 1))
-    # Level n's coefficients are (base + F^n + gain T^n) / den, with T^n
-    # its history sum and F^n the transformed H forcing.
+    # Level n's coefficients are (base + F^n + T^n) / den, with T^n its
+    # history sum and F^n the transformed H forcing (r F_n for quadrature).
     if l1:
         gain, base = p * eta, 0.0
     else:
         gain, base = -4.0 * s / (h * h), eta * u[0]
 
-    # Before the march, row n of u gets the part of level n's right-hand
-    # side known in advance: base + F^n, plus gain seed_n u^0 on a uniform
-    # mesh.  Quadrature forcing makes F^n a history sum: g[k] holds the
-    # transformed H (f_k + f_{k-1}) / 2, and F^n = sum_k a_k g[k] is added
-    # during the march.  The forcing is sampled once per level in
-    # increasing t; H and the transform run on blocks of rows whose
-    # temporaries (odd extension, spectrum, result: about 64 M bytes a
-    # row) stay near ``_MERGE_BYTES``.
+    # The history source is u, scaled by ``gain``, or with quadrature
+    # forcing z, which holds F_j (the transformed H f_j) before the march
+    # and F_j + gain u^j once level j is solved.  The forcing is sampled
+    # once per level in increasing t, into row n of u (closed forms, from
+    # n = 1) or of z (from n = 0); H and the transform run on blocks of
+    # rows whose temporaries (odd extension, spectrum, result: about 64 M
+    # bytes a row) stay near ``_MERGE_BYTES``.
     rows = max(1, _MERGE_BYTES // (64 * M))
-    sample = problem.f if l1 else problem.exact_f_conv
-    g = None
-    if sample is None:
-        g = np.zeros_like(u)
-        f_prev = problem.f(x, mesh.t[0])
-    for c in range(1, N + 1, rows):
-        block = (u if g is None else g)[c : c + rows]
+    z = None if l1 or problem.exact_f_conv is not None else np.zeros_like(u)
+    src, scale = (u, gain) if z is None else (z, np.ones(M + 1))
+    sample = problem.exact_f_conv if z is None and not l1 else problem.f
+    for c in range(1 if z is None else 0, N + 1, rows):
+        block = src[c : c + rows]
         for i, t in enumerate(mesh.t[c : c + rows]):
-            if g is None:
-                block[i] = sample(x, t)
-            else:
-                f_n = problem.f(x, t)
-                np.add(f_n, f_prev, out=block[i])
-                block[i] /= 2.0
-                f_prev = f_n
+            block[i] = sample(x, t)
         block[:] = _sine(apply_compact(block))
+    if z is not None:
+        z[0] += gain * u[0]
+    # Row n of u then gets the rest of level n's right-hand side known in
+    # advance: base, plus seed_n times the source's row 0 on a uniform mesh.
+    for c in range(1, N + 1, rows):
         rhs = u[c : c + rows]
         rhs += base
         if uniform:
-            rhs += seed[c - 1 : c - 1 + len(rhs), None] * (gain * u[0])
+            rhs += seed[c - 1 : c - 1 + len(rhs), None] * (scale * src[0])
 
-    # Blocks [b, e) within leaves: row i of ``wu`` (``wg``) weighs u^j
-    # (g[k]) in level b + i at column j - j0 (k - k0).
+    # Blocks [b, e) within leaves: row i of ``w`` weighs row j of the
+    # source in level b + i at column j - j0.
     for lo in range(1, N + 1, _LEAF):
-        j0, k0 = (lo, lo) if uniform else (0, 1)
+        j0 = lo if uniform else 0
         if uniform and lo > 1:
             # Levels [lo - half, lo) finished the first half of a run of
             # 2 * half levels; add their history to the second half.
             half = (lo - 1) & (1 - lo)
-            _add_far_history(u[lo : lo + half], u[lo - half : lo], lag, gain)
-            if g is not None:
-                _add_far_history(u[lo : lo + half], g[lo - half : lo], A)
+            _add_far_history(u[lo : lo + half], src[lo - half : lo], lag, scale)
         for b in range(lo, min(lo + _LEAF, N + 1), _BLOCK):
             e = min(b + _BLOCK, lo + _LEAF, N + 1)
             if uniform:
-                wu, wg = windows(rev, e - lo, axis=1)[:, _LEAF - e + lo : _LEAF - b + lo][:, ::-1]
+                w = near[b - lo : e - lo, : e - lo]
             else:
-                wg = weights_row(alpha, mesh, b, e)
-                den = _denominators(1.0, 0.5 * np.diagonal(wg, b - 1)[:, None], h, s)
-                # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs u^j, j < n.
-                wu = wg * 0.5
-                wu[:, 1:] += 0.5 * wg[:, :-1]
-            _add_products(u[b:e], wu[:, : b - j0], u[j0:b], gain)
-            if g is not None:
-                _add_products(u[b:e], wg[:, : b - k0], g[k0:b], np.ones(M + 1))
+                a = weights_row(alpha, mesh, b, e)
+                r = 0.5 * np.diagonal(a, b - 1)[:, None]
+                den = _denominators(1.0, r, h, s)
+                # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs row j < n.
+                w = a * 0.5
+                w[:, 1:] += 0.5 * a[:, :-1]
+            _add_products(u[b:e], w[:, : b - j0], src[j0:b], scale)
+            if z is not None:
+                # Each level's own forcing sample, weighed by r = a_n / 2.
+                u[b:e] += r * z[b:e]
             for i, n in enumerate(range(b, e)):
-                rhs = u[n] if g is None else u[n] + wg[i, b - k0 : n + 1 - k0] @ g[b : n + 1]
-                u[n] = (rhs + gain * (wu[i, b - j0 : n - j0] @ u[b:n])) / den[i]
+                u[n] = (u[n] + scale * (w[i, b - j0 : n - j0] @ src[b:n])) / den[i]
+                if z is not None:
+                    z[n] += gain * u[n]
 
     # Back to nodal values, in the same blocks of rows.  Row 0 gets phi as
     # sampled.

@@ -70,6 +70,18 @@ class TestConverge:
         ])
         assert rc == 0
 
+    def test_l1_accepts_a_grading_of_one(self, capsys):
+        # graded:1 is the uniform mesh bit for bit, so only the mesh column
+        # and the timings may differ.
+        argv = ["converge", "--alpha", "0.5", "--spatial-cells", "8",
+                "--time-steps", "2,4", "--scheme", "l1"]
+        assert main(argv + ["--mesh", "graded:1"]) == 0
+        graded = [line.split(",") for line in _lines(capsys)]
+        assert main(argv) == 0
+        uniform = [line.split(",") for line in _lines(capsys)]
+        assert [row[2] for row in graded[1:]] == ["graded:1", "graded:1"]
+        assert [row[3:7] for row in graded] == [row[3:7] for row in uniform]
+
     def test_runtime_failure_exits_one(self, capsys):
         # sine-decay at T = 1 needs series arguments the reference
         # evaluator cannot sum for small alpha, so error measurement fails
@@ -229,6 +241,15 @@ class TestRun:
         lines = _lines(capsys)
         assert lines[0] == "t,x,u"
         assert len(lines) == 1 + 4 * 5
+
+    @pytest.mark.parametrize("mesh", ["graded:1", "graded:1.0"])
+    def test_l1_accepts_a_grading_of_one(self, mesh, capsys):
+        argv = ["run", "--alpha", "0.5", "--spatial-cells", "4",
+                "--time-steps", "8", "--scheme", "l1"]
+        assert main(argv + ["--mesh", mesh]) == 0
+        graded = capsys.readouterr().out
+        assert main(argv) == 0
+        assert graded == capsys.readouterr().out
 
     def test_table_profile(self, capsys):
         rc = main([

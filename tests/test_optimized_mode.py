@@ -73,12 +73,21 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             """,
             "ValueError: kernel weight a_1 of level 35 is not positive and finite",
         ),
+        (
+            """
+            import numpy as np
+            from fracheat import TemporalMesh
+            TemporalMesh(t=np.array([0.0, 1.0, np.inf]), T=np.inf)
+            """,
+            "ValueError: time level t_2=inf is not finite",
+        ),
     ],
     ids=[
         "weakly-dominant-rows",
         "nan-forcing",
         "zero-kernel-weight",
         "zero-kernel-weight-in-a-later-block",
+        "non-finite-mesh-level",
     ],
 )
 def test_check_raises_under_optimized_python(code, message):

@@ -68,13 +68,16 @@ def _dense_march(problem, M, mesh, scheme):
 
 def _oracle_problem(problem, closed_form, alpha=0.6):
     """``sine_decay``, ``manufactured_sin``'s forcing with phi = sin(pi x),
-    or ``_boundary_forced``; without its closed-form forcing integral if
-    ``closed_form`` is false."""
+    ``_boundary_forced``, or its forcing with phi = sin(pi x), so that phi
+    and f(., 0) are both nonzero; without its closed-form forcing integral
+    if ``closed_form`` is false."""
     p = sine_decay(alpha)
     if problem == "forced-sine":
         p = dataclasses.replace(manufactured_sin(alpha), phi=p.phi, exact_u=None)
     elif problem == "boundary-forced":
         p = _boundary_forced(alpha)
+    elif problem == "boundary-forced-sine":
+        p = dataclasses.replace(_boundary_forced(alpha), phi=p.phi)
     return p if closed_form else dataclasses.replace(p, exact_f_conv=None)
 
 
@@ -163,6 +166,8 @@ class TestBothSchemes:
             (SchemeKind.TRANSFORMED, "forced-sine", False),
             (SchemeKind.TRANSFORMED, "boundary-forced", True),
             (SchemeKind.TRANSFORMED, "boundary-forced", False),
+            (SchemeKind.TRANSFORMED, "boundary-forced-sine", True),
+            (SchemeKind.TRANSFORMED, "boundary-forced-sine", False),
             (SchemeKind.L1, "sine-decay", True),
             (SchemeKind.L1, "forced-sine", True),
             (SchemeKind.L1, "boundary-forced", True),
@@ -194,6 +199,8 @@ class TestBothSchemes:
             ("forced-sine", False),
             ("boundary-forced", True),
             ("boundary-forced", False),
+            ("boundary-forced-sine", True),
+            ("boundary-forced-sine", False),
         ],
     )
     def test_graded_block_march_matches_dense_oracle(
@@ -337,13 +344,18 @@ class TestForcingBlocks:
         times = [t for name, t in log if name == sampled]
         assert times == list(mesh.t[1 if closed_form else 0 :])
         assert names.count("f") + names.count("exact_f_conv") == names.count(sampled)
-        assert names.count("apply_compact") == 14  # ceil(40 / 3) blocks
+        # ceil(40 / 3) blocks of rows from t_1, or ceil(41 / 3) from t_0.
+        assert names.count("apply_compact") == 14
         march = names[names.index("_add_far_history") :]
         assert sampled not in march and "apply_compact" not in march
+        # One history sum over one source per merge, at the starts of the
+        # nine leaves of 4 levels after the first.
+        assert names.count("_add_far_history") == 9
 
     @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
     def test_sine_runs_per_block_not_per_level(self, monkeypatch, scheme, closed_form):
-        # phi, the one block of forcing rows and the one block back out.
+        # phi, the one block of forcing rows (from t_0 with quadrature
+        # forcing) and the one block back out.
         shapes = []
         sine = fracheat.solver._sine
 
@@ -354,13 +366,13 @@ class TestForcingBlocks:
         monkeypatch.setattr(fracheat.solver, "_sine", counted)
         p = _forcing_of(scheme, closed_form, lambda name, fn: fn)
         solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 40), scheme)
-        assert shapes == [(9,), (40, 9), (40, 9)]
+        assert shapes == [(9,), (40 if closed_form else 41, 9), (40, 9)]
 
     @pytest.mark.parametrize("closed_form", [True, False])
     def test_working_memory_is_the_lattices_and_two_chunks(self, closed_form):
         # A lattice-sized temporary would add 1.6 MB to a peak that should
-        # hold the lattice (and the quadrature samples g) plus at most two
-        # chunks of transform or merge work.
+        # hold the lattice (and the quadrature history source z) plus at
+        # most two chunks of transform or merge work.
         p = _forcing_of(SchemeKind.TRANSFORMED, closed_form, lambda name, fn: fn)
         grid, mesh = SpatialGrid(100), uniform_time_mesh(1.0, 2048)
         lattices = (1 if closed_form else 2) * (mesh.N + 1) * (grid.M + 1) * 8
