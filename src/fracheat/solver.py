@@ -24,23 +24,26 @@ of rows.  The march itself only adds history to those rows and divides,
 with no forcing call and no transform.
 
 The history of a level is one weighted sum over one source: u, or z with
-quadrature forcing (see below).  On a uniform mesh (steps equal to 1e-12
-relative) every weight of either scheme depends only on the lag n - j, so
-the history is a causal Toeplitz convolution in time and one kernel row
-serves the whole solve.  When a run of L = _LEAF, 2 _LEAF, 4 _LEAF, ...
-levels is done and is the first half of a run of 2L, its history for the
-second half is added at once by FFT (Hairer, Lubich & Schlichte, SIAM J.
-Sci. Stat. Comput. 6(3), 1985): O(M N log^2 N) in all instead of
-O(M N^2).  The merges add into the right-hand-side rows of the levels not
-yet solved.
-
-The history from inside the current leaf of ``_LEAF`` levels (on a graded
-mesh, all of it) is summed in blocks of ``_BLOCK`` levels: one matrix
-product adds the part from before a block to all its levels, with weights
-sliced from one lower-triangular Toeplitz matrix of a leaf or built from
-one ``weights_row`` block, and then the levels are solved in turn, each
-adding the rows solved before it in the block, so no level reads a later
-one.  The schemes are:
+quadrature forcing (see below).  Its weights come in two parts.  The rows
+of the W = ``_WINDOW`` levels before a block of ``_BLOCK`` levels, and the
+block's own rows, get their exact weights: on a uniform mesh (steps equal
+to 1e-12 relative) every weight of either scheme depends only on the lag
+n - j, so one kernel row serves the whole solve; on a graded mesh one
+``weights_row`` block per block of levels holds them.  Every older row
+reaches level n through a sum of exponentials.  Its weights are integrals
+of a kernel that is smooth at lags past the window, t**(alpha-1) for the
+transformed scheme and, in units of the step, t**(-1-alpha) for L1, and
+``_exp_sum`` fits that kernel by sum_l w_l exp(-s_l t) to about 1e-13
+relative on [delta, t_N - t_0], with delta the shortest span of W steps
+(t_W - t_0 on the meshes of ``meshes``).  So the older history is sum_l
+exp(-s_l (t_n - t_ref)) S_l, with S_l one row of M + 1 states per term,
+referenced to the start t_ref of the window: when a block is done, the
+states decay to the next window start and absorb the rows that leave the
+window.  A block then costs three matrix products (window rows, states,
+absorption) and the solve O(M N (W + N_exp)), with N_exp about 80 to
+250 terms, on either mesh; solves of at most W levels build no states.
+The levels of a block are solved in turn, each adding the rows solved
+before it in the block, so no level reads a later one.  The schemes are:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
   the problem with the exact kernel step weights a_1..a_n of level n
@@ -68,6 +71,11 @@ one.  The schemes are:
       rhs^n = lambda H (b_{n-1} u^0 + sum_{0<j<n} (b_{n-j-1} - b_{n-j}) u^j)
               + H f(t_n),    b_j = (j + 1)**(1 - alpha) - j**(1 - alpha).
 
+  The weight b_{k-1} - b_k of lag k is alpha (1 - alpha) times the double
+  integral of (k - 1 + x + y)**(-1-alpha) over the unit square, so with
+  the fit it is alpha (1 - alpha) sum_l w_l exp(-s_l (k - 1))
+  ((1 - exp(-s_l)) / s_l)**2.
+
 The transforms mix nodes within a level but never across levels, so a
 non-finite level can still only come from non-finite (or overflowing)
 forcing or initial data, and ``solve`` names the first one instead of
@@ -84,20 +92,25 @@ import numpy as np
 from .meshes import SpatialGrid, TemporalMesh
 from .operators import apply_compact
 from .problems import ProblemSpec
-from .quadrature import weights_row
+from .quadrature import _exp_sum, weights_row
 from .special import gamma
 
 __all__ = ["SchemeKind", "SolutionLattice", "solve"]
 
-# Levels per leaf of a uniform march, whose history from inside the leaf is
-# summed without FFT: below this that is cheaper than one more merge level.
-_LEAF = 128
-# Levels per block of the march, capped at a leaf: one matrix product adds
-# the history from before the block to all of its levels.
+# Levels before a block whose history weights are exact; older levels
+# reach it through the sum-of-exponentials states.  Solves of at most this
+# many levels build no states, whose setup and products cost more than the
+# exact weights they replace on short, wide solves.
+_WINDOW = 128
+# Levels per block of the march: one matrix product adds the history from
+# before the block to all of its levels.
 _BLOCK = 32
-# Working memory of one chunk of an FFT merge or of the final sine
-# transform, in bytes.
+# Working memory of one column chunk of a block product, of the forcing
+# transform or of the final sine transform, in bytes.
 _MERGE_BYTES = 512 * 1024
+# Exponents of the decay factors are clipped here, so that no subnormal
+# number enters a product: exp(-600) is 2.6e-261.
+_EXP_CLIP = 600.0
 
 
 class SchemeKind(enum.Enum):
@@ -174,26 +187,12 @@ def _is_uniform(mesh: TemporalMesh) -> bool:
     return bool(steps.max() - steps.min() <= 1e-12 * steps.mean())
 
 
-def _add_far_history(dst: np.ndarray, src: np.ndarray, kernel: np.ndarray, scale: np.ndarray) -> None:
-    """Add a finished block's Toeplitz history to the next block's rows.
+def _decay(rate: np.ndarray, dt) -> np.ndarray:
+    """exp(-rate * dt) for each rate (rows) and time dt >= 0 (columns).
 
-    ``src`` holds the B rows j = 0..B-1 just solved and ``dst`` the (at
-    most B) rows i = 0.. after them; row i gains sum_j kernel[B + i - j]
-    src[j], with ``kernel`` indexed by the level lag, times ``scale`` per
-    column.  The causal sum is one linear convolution along time, taken by
-    FFT of length 2B in column chunks whose working memory stays near
-    ``_MERGE_BYTES``.
+    Exponents are clipped at ``_EXP_CLIP``.
     """
-    half = len(src)
-    size = 2 * half
-    kernel_fft = np.fft.rfft(kernel[:size], size)
-    width = max(1, _MERGE_BYTES // (16 * size))
-    for c in range(0, src.shape[1], width):
-        spec = np.fft.rfft(src[:, c : c + width], size, axis=0)
-        spec *= kernel_fft[:, None]
-        hist = np.fft.irfft(spec, size, axis=0)[half : half + len(dst)]
-        hist *= scale[c : c + width]
-        dst[:, c : c + width] += hist
+    return np.exp(-np.minimum(np.multiply.outer(rate, dt), _EXP_CLIP))
 
 
 def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale: np.ndarray) -> None:
@@ -250,11 +249,13 @@ def solve(
             p, r = 1.0, 0.5 * A[0]
             seed = 0.5 * A
             lag = np.concatenate(([0.0], 0.5 * (A[:-1] + A[1:])))
-        # near[n - lo, j - lo] weighs row j in level n of a leaf from lo;
-        # lag[0] = 0 covers j >= n.
-        k = np.arange(min(_LEAF, N))
-        near = lag[np.maximum(k[:, None] - k, 0)]
-        den = np.broadcast_to(_denominators(p, r, h, s), (_BLOCK, M + 1))
+        # In level b + i of a block from b, near[i, c] weighs row b - W + c:
+        # near[i, c] = lag[W + i - c], and lag[0] = 0 from c = W + i on.
+        near = np.zeros((_BLOCK, _WINDOW + _BLOCK))
+        for i in range(_BLOCK):
+            k = min(_WINDOW + i, N - 1)
+            near[i, _WINDOW + i - k : _WINDOW + i] = lag[k:0:-1]
+        den = _denominators(p, r, h, s)
     # Level n's coefficients are (base + F^n + T^n) / den, with T^n its
     # history sum and F^n the transformed H forcing (r F_n for quadrature).
     if l1:
@@ -275,7 +276,7 @@ def solve(
     sample = problem.exact_f_conv if z is None and not l1 else problem.f
     for c in range(1 if z is None else 0, N + 1, rows):
         block = src[c : c + rows]
-        for i, t in enumerate(mesh.t[c : c + rows]):
+        for i, t in enumerate(mesh.t[c : c + rows].tolist()):
             block[i] = sample(x, t)
         block[:] = _sine(apply_compact(block))
     if z is not None:
@@ -287,35 +288,91 @@ def solve(
         rhs += base
         if uniform:
             rhs += seed[c - 1 : c - 1 + len(rhs), None] * (scale * src[0])
+    if uniform:
+        # Level n solves (rhs + scale T^n) / den: ``factor`` = scale / den.
+        factor = np.broadcast_to(scale / den, (_BLOCK, M + 1))
+        den = np.broadcast_to(den, (_BLOCK, M + 1))
 
-    # Blocks [b, e) within leaves: row i of ``w`` weighs row j of the
-    # source in level b + i at column j - j0.
-    for lo in range(1, N + 1, _LEAF):
-        j0 = lo if uniform else 0
-        if uniform and lo > 1:
-            # Levels [lo - half, lo) finished the first half of a run of
-            # 2 * half levels; add their history to the second half.
-            half = (lo - 1) & (1 - lo)
-            _add_far_history(u[lo : lo + half], src[lo - half : lo], lag, scale)
-        for b in range(lo, min(lo + _LEAF, N + 1), _BLOCK):
-            e = min(b + _BLOCK, lo + _LEAF, N + 1)
-            if uniform:
-                w = near[b - lo : e - lo, : e - lo]
+    # The history of rows j0..ref-1 is in ``states``, referenced to t_ref:
+    # with the fit, row j weighs sum_l exp(-s_l (t_n - t_ref)) G_lj in
+    # level n.  They are set up only if some row leaves the window before
+    # the last block.
+    t = mesh.t
+    j0 = 1 if uniform else 0
+    ref, states = j0, None
+    ends = range(1 + _BLOCK, N + 1, _BLOCK)
+    if ends and ends[-1] - _WINDOW > j0:
+        if uniform:
+            # In steps, the kernel of the lag weights is t**-beta on [W, N].
+            rate, weight = _exp_sum(1.0 + alpha if l1 else 1.0 - alpha, _WINDOW, N)
+            if l1:
+                coef = alpha * (1.0 - alpha) * weight * (np.expm1(-rate) / rate) ** 2
             else:
-                a = weights_row(alpha, mesh, b, e)
-                r = 0.5 * np.diagonal(a, b - 1)[:, None]
-                den = _denominators(1.0, r, h, s)
-                # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs row j < n.
-                w = a * 0.5
-                w[:, 1:] += 0.5 * a[:, :-1]
-            _add_products(u[b:e], w[:, : b - j0], src[j0:b], scale)
+                coef = weight * (mesh.T / N) ** alpha / (2.0 * gamma(alpha))
+                coef *= -np.expm1(-2.0 * rate) / rate
+            # Lag k weighs sum_l coef_l exp(-s_l (k - 1)).  Level b + i is
+            # W + i steps after the window start of its block, and row
+            # out - B + c leaves the window B - c steps before the next
+            # window start, out.
+            levels = _decay(rate, np.arange(_WINDOW, _WINDOW + _BLOCK)).T
+            leaving = coef[:, None] * _decay(rate, np.arange(_BLOCK - 1, -1, -1))
+            decay = _decay(rate, [_BLOCK])
+        else:
+            rate, weight = _exp_sum(1.0 - alpha, np.min(t[_WINDOW:] - t[:-_WINDOW]), mesh.T)
+            coef = weight / (2.0 * gamma(alpha))
+            # tau[k] is step k, with tau[0] = 0 for the a_0 = 0 of row 0.
+            tau = np.diff(t, prepend=0.0)
+        states = np.zeros((len(rate), M + 1))
+        one = np.ones(M + 1)
+
+    # Blocks [b, e): row i of ``w`` weighs row j >= lo of the source in
+    # level b + i at column j - lo.
+    for b in range(1, N + 1, _BLOCK):
+        e = min(b + _BLOCK, N + 1)
+        lo = max(j0, b - _WINDOW)
+        if uniform:
+            w = near[: e - b, _WINDOW - (b - lo) :]
+        else:
+            # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs row j < n, so
+            # the weights start one step before the window.
+            first = max(lo - 1, 0)
+            a = weights_row(alpha, mesh, b, e, first)
+            r = 0.5 * np.diagonal(a, b - 1 - first)[:, None]
+            den = _denominators(1.0, r, h, s)
+            factor = scale / den
+            w = a * 0.5
+            w[:, 1:] += 0.5 * a[:, :-1]
+            w = w[:, lo - first :]
+        _add_products(u[b:e], w[:, : b - lo], src[lo:b], scale)
+        if ref > j0:
+            lev = levels[: e - b] if uniform else _decay(rate, t[b:e] - t[ref]).T
+            _add_products(u[b:e], lev, states, scale)
+        if z is not None:
+            # Each level's own forcing sample, weighed by r = a_n / 2.
+            u[b:e] += r * z[b:e]
+        u[b:e] /= den[: e - b]
+        for i, n in enumerate(range(b, e)):
+            if i:
+                u[n] += factor[i] * (w[i, b - lo : n - lo] @ src[b:n])
             if z is not None:
-                # Each level's own forcing sample, weighed by r = a_n / 2.
-                u[b:e] += r * z[b:e]
-            for i, n in enumerate(range(b, e)):
-                u[n] = (u[n] + scale * (w[i, b - j0 : n - j0] @ src[b:n])) / den[i]
-                if z is not None:
-                    z[n] += gain * u[n]
+                z[n] += gain * u[n]
+        out = e - _WINDOW
+        if states is not None and out > j0 and e <= N:
+            # Rows ref..out-1 leave the window: the states decay to t_out
+            # and absorb them.
+            if uniform:
+                states *= decay
+                g = leaving[:, ref - out :]
+            else:
+                states *= _decay(rate, t[out] - t[ref])[:, None]
+                # Row j weighs coef (h_j + h_{j+1}) in the states, with
+                # h_k = exp(-s (t_out - t_k)) (1 - exp(-s tau_k)) / s.
+                hk = _decay(rate, t[out] - t[ref : out + 1])
+                hk *= np.expm1(-np.multiply.outer(rate, tau[ref : out + 1]))
+                hk *= -coef[:, None] / rate[:, None]
+                g = hk[:, :-1] + hk[:, 1:]
+            _add_products(states, g, src[ref:out], one)
+            ref = out
 
     # Back to nodal values, in the same blocks of rows.  Row 0 gets phi as
     # sampled.

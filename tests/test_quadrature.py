@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from fracheat.meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_mesh
 from fracheat.problems import manufactured_sin
 from fracheat.quadrature import (
+    _SOE_TOL,
+    _exp_sum,
+    _gauss_jacobi,
     forcing_convolution_profile,
     midpoint_convolution,
     weights_row,
@@ -94,6 +98,58 @@ class TestWeights:
         assert weights_row(0.5, mesh, 1, 35).shape == (34, 34)
         with pytest.raises(ValueError, match="weight a_1 of level 35 is not positive"):
             weights_row(0.5, mesh, 33, 41)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    def test_start_leaves_out_the_first_steps(self, alpha):
+        # Bit for bit the last columns of the full rows.
+        for mesh in _meshes():
+            for n, stop, start in [(3, 7, 2), (3, 7, 0), (mesh.N, mesh.N + 1, mesh.N - 1)]:
+                block = weights_row(alpha, mesh, n, stop, start)
+                assert block.shape == (stop - n, stop - 1 - start)
+                assert np.array_equal(block, weights_row(alpha, mesh, n, stop)[:, start:])
+            row = weights_row(alpha, mesh, mesh.N, start=2)
+            assert np.array_equal(row, weights_row(alpha, mesh, mesh.N)[2:])
+        mesh = uniform_time_mesh(1.0, 4)
+        for n, start in [(2, 2), (2, -1), (1, 1)]:
+            with pytest.raises(ValueError, match="start must lie in"):
+                weights_row(alpha, mesh, n, start=start)
+
+    def test_start_checks_only_the_steps_it_keeps(self):
+        # The mesh of ``test_block_names_the_first_bad_weight``: from level 35
+        # on, the weights of steps 1..34 round to zero.
+        t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
+        mesh = TemporalMesh(t=t, T=1.0)
+        with pytest.raises(ValueError, match="weight a_11 of level 35 is not positive"):
+            weights_row(0.5, mesh, 33, 41, 10)
+        # Row 40 - 35 holds a_35..a_40 of level 40.
+        assert np.all(weights_row(0.5, mesh, 35, 41, 34)[-1] > 0.0)
+
+
+class TestExpSum:
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("b", [-0.9, -0.5, 0.0, 0.25, 0.9])
+    def test_gauss_jacobi_matches_scipy(self, n, b):
+        # scipy's rule is for (1 - x)**0 (1 + x)**b on [-1, 1], x = 2u - 1.
+        u, w = _gauss_jacobi(n, b)
+        x, v = roots_jacobi(n, 0.0, b)
+        np.testing.assert_allclose(2.0 * u - 1.0, x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(2.0 ** (b + 1.0) * w, v, rtol=1e-12)
+        assert not u.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize("ratio", [0.5, 1e-4, 1e-8])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
+    @pytest.mark.parametrize("kernel", ["transformed", "l1"])
+    @pytest.mark.parametrize("T", [1.0, 2048.0])
+    def test_fit_is_within_tolerance(self, kernel, alpha, ratio, T):
+        # The transformed kernel t**(alpha-1) and L1's t**(-1-alpha).
+        beta = 1.0 - alpha if kernel == "transformed" else 1.0 + alpha
+        delta = ratio * T
+        rates, weights = _exp_sum(beta, delta, T)
+        assert len(rates) == 8 + 10 * math.ceil(math.log(37.0 / ratio))
+        assert np.all(rates > 0.0) and np.all(weights > 0.0)
+        t = np.geomspace(delta, T, 2001)
+        fit = np.exp(-np.outer(t, rates)) @ weights
+        assert np.max(np.abs(fit * t**beta - 1.0)) <= _SOE_TOL
 
 
 class TestMidpointConvolution:

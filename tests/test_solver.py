@@ -17,10 +17,10 @@ from oracles import dense_compact_matrix, dense_second_diff_matrix
 
 
 def _use_small_blocks(monkeypatch):
-    """At M = 8: merges of 4, 8, 16 and 32 levels, with the wider ones cut
-    into column chunks, and forcing blocks of 3 rows (1 for the last of
-    N = 40)."""
-    monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
+    """At M = 8: windows of 4 levels, so that the rows older than that reach
+    a level through the sum-of-exponentials states, product chunks a few
+    columns wide, and forcing blocks of 3 rows (1 for the last of N = 40)."""
+    monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
     monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 3 * 64 * 8)
 
 
@@ -176,12 +176,11 @@ class TestBothSchemes:
     def test_toeplitz_march_matches_dense_oracle(
         self, monkeypatch, scheme, problem, closed_form, N, block
     ):
-        # Leaves of 4 levels, one-column FFT chunks and product chunks one
-        # block wide, so uniform solves at small odd N run merges of 4, 8
-        # and 16 levels at block starts, some cut off by N.  Blocks of 2 and
-        # 3 levels are smaller than a leaf (3 is cut off by the leaf end)
-        # and the last block is cut off by N; 32 is capped at the leaf.
-        monkeypatch.setattr(fracheat.solver, "_LEAF", 4)
+        # Windows of 4 levels and product chunks one block wide, so rows
+        # more than 4 levels before a block reach it through the states,
+        # which absorb 2 or 3 rows per block.  The last block is cut off by
+        # N; one of 32 holds the whole march and builds no states.
+        monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
         p = _oracle_problem(problem, closed_form)
@@ -206,10 +205,11 @@ class TestBothSchemes:
     def test_graded_block_march_matches_dense_oracle(
         self, monkeypatch, problem, closed_form, N, block
     ):
-        # A graded mesh has no merges: each block's older history is every
-        # level before it.  Blocks of 1, 3 and 5 levels, the last cut off by
-        # N, and one of 32 that holds the whole march; one-block-wide
-        # product chunks.
+        # Windows of 4 levels, so the rows before them reach a block through
+        # the states.  Blocks of 1, 3 and 5 levels (5 is wider than the
+        # window), the last cut off by N, and one of 32 that holds the
+        # whole march; one-block-wide product chunks.
+        monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
         p = _oracle_problem(problem, closed_form)
@@ -247,32 +247,53 @@ class TestBothSchemes:
         assert len(row_calls) == rows
         assert len(f_calls) == (0 if closed_form else 40 + 1)
 
+    @pytest.mark.parametrize("closed_form", [True, False])
+    def test_graded_kernel_weights_stay_within_the_window(self, monkeypatch, closed_form):
+        # No quadratic path: each block of levels gets the exact weights of
+        # the window before it and of its own levels, never all of history.
+        widths = []
+        row = fracheat.solver.weights_row
+
+        def recorded_row(*args):
+            block = row(*args)
+            widths.append(block.shape[-1])
+            return block
+
+        monkeypatch.setattr(fracheat.solver, "weights_row", recorded_row)
+        p = manufactured_sin(0.5)
+        if not closed_form:
+            p = dataclasses.replace(p, exact_f_conv=None)
+        solve(p, SpatialGrid(8), graded_time_mesh(1.0, 2000, 2.0))
+        assert len(widths) == math.ceil(2000 / fracheat.solver._BLOCK)
+        assert max(widths) <= fracheat.solver._WINDOW + fracheat.solver._BLOCK + 1
+
     @pytest.mark.parametrize(
         "grading, scheme",
         [(1.0, SchemeKind.TRANSFORMED), (1.0, SchemeKind.L1), (2.0, SchemeKind.TRANSFORMED)],
     )
     @pytest.mark.parametrize("closed_form", [True, False])
     @pytest.mark.parametrize(
-        "N, bad, leaf, block",
+        "N, bad, window, block",
         [
             # Level 3 is inside the one block [1, 9).
             (8, 3, None, None),
-            # Level 14 is inside the block [13, 17) and the fifth forcing
-            # block; a uniform mesh merges at levels 5, 9 and 13.
+            # Level 14 is inside the block [1, 33) and the fifth forcing
+            # block; the states absorb it and the rows up to 28 after that.
             (40, 14, 4, None),
-            # Level 13 is inside the block [12, 15) of the leaf [9, 17).
+            # Level 13 is inside the block [13, 16); the states hold the
+            # rows before level 5 by then.
             (40, 13, 8, 3),
         ],
     )
     def test_non_finite_forcing_names_the_first_bad_level(
-        self, monkeypatch, grading, scheme, closed_form, N, bad, leaf, block
+        self, monkeypatch, grading, scheme, closed_form, N, bad, window, block
     ):
         # Levels after the bad one are not finite either; a product that
         # carried any of them into an earlier level of its block, even with
         # weight 0, would make that level the first bad one.
-        if leaf:
+        if window:
             _use_small_blocks(monkeypatch)
-            monkeypatch.setattr(fracheat.solver, "_LEAF", leaf)
+            monkeypatch.setattr(fracheat.solver, "_WINDOW", window)
         if block:
             monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         base = manufactured_sin(0.5)
@@ -324,16 +345,21 @@ class TestForcingBlocks:
         self, monkeypatch, scheme, closed_form
     ):
         _use_small_blocks(monkeypatch)
+        monkeypatch.setattr(fracheat.solver, "_BLOCK", 4)
         log = []
 
         def logged(name, fn):
             def call(*args):
-                log.append((name, args[1] if name in ("f", "exact_f_conv") else None))
+                if name == "_add_products" and len(args[0]) > fracheat.solver._BLOCK:
+                    # Only the states have more rows than a block.
+                    log.append(("state update", None))
+                else:
+                    log.append((name, args[1] if name in ("f", "exact_f_conv") else None))
                 return fn(*args)
 
             return call
 
-        for name in ("apply_compact", "_add_far_history"):
+        for name in ("apply_compact", "_add_products"):
             fn = getattr(fracheat.solver, name)
             monkeypatch.setattr(fracheat.solver, name, logged(name, fn))
         mesh = uniform_time_mesh(1.0, 40)
@@ -346,11 +372,11 @@ class TestForcingBlocks:
         assert names.count("f") + names.count("exact_f_conv") == names.count(sampled)
         # ceil(40 / 3) blocks of rows from t_1, or ceil(41 / 3) from t_0.
         assert names.count("apply_compact") == 14
-        march = names[names.index("_add_far_history") :]
+        march = names[names.index("_add_products") :]
         assert sampled not in march and "apply_compact" not in march
-        # One history sum over one source per merge, at the starts of the
-        # nine leaves of 4 levels after the first.
-        assert names.count("_add_far_history") == 9
+        # One state update over one source per block that rows leave, at
+        # the ends of the eight blocks of 4 levels from [5, 9) to [33, 37).
+        assert names.count("state update") == 8
 
     @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
     def test_sine_runs_per_block_not_per_level(self, monkeypatch, scheme, closed_form):
@@ -368,13 +394,15 @@ class TestForcingBlocks:
         solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 40), scheme)
         assert shapes == [(9,), (40 if closed_form else 41, 9), (40, 9)]
 
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
     @pytest.mark.parametrize("closed_form", [True, False])
-    def test_working_memory_is_the_lattices_and_two_chunks(self, closed_form):
+    def test_working_memory_is_the_lattices_and_two_chunks(self, closed_form, grading):
         # A lattice-sized temporary would add 1.6 MB to a peak that should
         # hold the lattice (and the quadrature history source z) plus at
-        # most two chunks of transform or merge work.
+        # most two chunks of transform or block product work; the states
+        # and the weights of one block are smaller than a chunk.
         p = _forcing_of(SchemeKind.TRANSFORMED, closed_form, lambda name, fn: fn)
-        grid, mesh = SpatialGrid(100), uniform_time_mesh(1.0, 2048)
+        grid, mesh = SpatialGrid(100), graded_time_mesh(1.0, 2048, grading)
         lattices = (1 if closed_form else 2) * (mesh.N + 1) * (grid.M + 1) * 8
         tracemalloc.start()
         try:
