@@ -34,18 +34,23 @@ SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 
 
 def _zeros(x: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Zero initial data, forcing or solution, as phi(x) or f(x, t)."""
-    return np.zeros_like(np.asarray(x, dtype=float))
+    """Zero initial data, forcing or solution, as phi(x) or f(x, t), with
+    x and t broadcast (a column of t gives one row per time)."""
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """One well-posed problem instance.
 
-    ``f`` and the optional callables are vectorized over the node array x
-    at a fixed time.  ``exact_f_conv`` is the fractional integral of the
-    forcing (kernel t**(alpha-1)/Gamma(alpha)); when absent the solver
-    falls back to product quadrature in time.
+    ``f`` and ``exact_u`` are vectorized over the node array x at a fixed
+    time: the solver and the harness pass a Python float t, once per level.
+    ``exact_f_conv`` is the fractional integral of the forcing (kernel
+    t**(alpha-1)/Gamma(alpha)); when absent the solver falls back to
+    product quadrature in time.  It is vectorized over x and t together:
+    the solver passes x of shape (M+1,) and t as a column of shape (k, 1),
+    one call per block of k levels, and the result must broadcast to
+    (k, M+1), row i holding the integral at t[i].
     """
 
     label: str
@@ -54,7 +59,7 @@ class ProblemSpec:
     phi: Callable[[np.ndarray], np.ndarray]
     f: SpaceTimeFn
     exact_u: Optional[SpaceTimeFn] = None
-    exact_f_conv: Optional[SpaceTimeFn] = None
+    exact_f_conv: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -136,7 +141,7 @@ def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
     def exact_u(x: np.ndarray, t: float) -> np.ndarray:
         return np.sin(np.pi * x) * t**2
 
-    def exact_f_conv(x: np.ndarray, t: float) -> np.ndarray:
+    def exact_f_conv(x: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.sin(np.pi * x) * (
             2.0 * np.pi**2 * t ** (2.0 + alpha) / g3p + t**2
         )

@@ -18,10 +18,11 @@ bounds by 1e-12; the forcing is averaged by H in physical space first, so
 its boundary values still reach rows 1 and M-1.
 
 Everything on a level's right-hand side that does not depend on the
-solution is filled into its row before the march: the forcing is sampled
-once per level, in increasing t, then averaged and transformed in blocks
-of rows.  The march itself only adds history to those rows and divides,
-with no forcing call and no transform.
+solution is filled into its row before the march, in blocks of rows: a
+closed-form forcing integral is sampled once per block, with the block's
+times as a column, and f once per level, in increasing t; each block is
+then averaged and transformed at once.  The march itself only adds
+history to those rows and divides, with no forcing call and no transform.
 
 The history of a level is one weighted sum over one source: u, or z with
 quadrature forcing (see below).  Its weights come in two parts.  The rows
@@ -266,18 +267,24 @@ def solve(
     # The history source is u, scaled by ``gain``, or with quadrature
     # forcing z, which holds F_j (the transformed H f_j) before the march
     # and F_j + gain u^j once level j is solved.  The forcing is sampled
-    # once per level in increasing t, into row n of u (closed forms, from
-    # n = 1) or of z (from n = 0); H and the transform run on blocks of
-    # rows whose temporaries (odd extension, spectrum, result: about 64 M
-    # bytes a row) stay near ``_MERGE_BYTES``.
+    # into row n of u (closed forms, from n = 1) or of z (from n = 0) in
+    # blocks of rows whose temporaries (odd extension, spectrum, result:
+    # about 64 M bytes a row) stay near ``_MERGE_BYTES``; H and the
+    # transform then run on the whole block.
     rows = max(1, _MERGE_BYTES // (64 * M))
     z = None if l1 or problem.exact_f_conv is not None else np.zeros_like(u)
     src, scale = (u, gain) if z is None else (z, np.ones(M + 1))
-    sample = problem.exact_f_conv if z is None and not l1 else problem.f
     for c in range(1 if z is None else 0, N + 1, rows):
         block = src[c : c + rows]
-        for i, t in enumerate(mesh.t[c : c + rows].tolist()):
-            block[i] = sample(x, t)
+        if z is None and not l1:
+            # One call per block, with the block's times as a column.
+            block[:] = problem.exact_f_conv(x, mesh.t[c : c + rows, None])
+        else:
+            # f stays one call per level, in increasing t, with a Python
+            # float t, until the benchmark's tracer (perfbench/tracing.py),
+            # which converts each f call's t with float(), takes a column.
+            for i, t in enumerate(mesh.t[c : c + rows].tolist()):
+                block[i] = problem.f(x, t)
         block[:] = _sine(apply_compact(block))
     if z is not None:
         z[0] += gain * u[0]

@@ -54,6 +54,21 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             "ValueError: solution level 1 (t = 0.25) is not finite",
         ),
         (
+            # At M = 8 the forcing prefill samples the closed form in blocks
+            # of 1024 rows, so level 3 is the third row of the one block
+            # [1, 9).
+            """
+            import dataclasses
+            import numpy as np
+            from fracheat import SpatialGrid, manufactured_sin, solve, uniform_time_mesh
+            base = manufactured_sin(0.5)
+            conv = lambda x, t: base.exact_f_conv(x, t) + np.where(t >= 0.375, np.nan, 0.0)
+            p = dataclasses.replace(base, exact_f_conv=conv)
+            solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 8))
+            """,
+            "ValueError: solution level 3 (t = 0.375) is not finite",
+        ),
+        (
             """
             import numpy as np
             from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
@@ -85,6 +100,7 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
     ids=[
         "weakly-dominant-rows",
         "nan-forcing",
+        "nan-closed-form-forcing-inside-a-row-block",
         "zero-kernel-weight",
         "zero-kernel-weight-in-a-later-block",
         "non-finite-mesh-level",

@@ -153,6 +153,19 @@ class TestRegistry:
             get_problem("does-not-exist", 0.5)
 
 
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("label", available_problems())
+def test_closed_form_forcing_integral_takes_a_column_of_t(label, alpha):
+    # The solver samples exact_f_conv once per block of levels, with x of
+    # shape (M+1,) and the block's times as a column of shape (k, 1).
+    p = get_problem(label, alpha)
+    x, t = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 7)
+    block = p.exact_f_conv(x, t[:, None])
+    assert np.shape(block) == (7, 9)
+    rows = np.array([p.exact_f_conv(x, tk) for tk in t.tolist()])
+    np.testing.assert_array_max_ulp(block, rows, maxulp=4)
+
+
 class TestProblemSpecValidation:
     @staticmethod
     def _zeros(x):

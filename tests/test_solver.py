@@ -84,16 +84,16 @@ def _oracle_problem(problem, closed_form, alpha=0.6):
 def _boundary_forced(alpha):
     """phi = 0 and f = 1 + t, which is nonzero at both ends of the interval.
 
-    I^alpha[1 + t] = t**alpha / Gamma(1 + alpha) + t**(1 + alpha) / Gamma(2 + alpha).
+    I^alpha[1 + t] = t**alpha / Gamma(1 + alpha) + t**(1 + alpha) / Gamma(2 + alpha),
+    which broadcasts over x and a column of t like every closed form.
     """
 
     def f(x, t):
         return np.full_like(x, 1.0 + t)
 
     def f_conv(x, t):
-        return np.full_like(
-            x, t**alpha / math.gamma(1.0 + alpha) + t ** (1.0 + alpha) / math.gamma(2.0 + alpha)
-        )
+        conv = t**alpha / math.gamma(1.0 + alpha) + t ** (1.0 + alpha) / math.gamma(2.0 + alpha)
+        return np.zeros_like(x) + conv
 
     return ProblemSpec(
         label="boundary-forced", alpha=alpha, T=1.0, phi=np.zeros_like, f=f, exact_f_conv=f_conv
@@ -301,7 +301,7 @@ class TestBothSchemes:
         t_bad = mesh.t[bad]
 
         def poisoned(fn):
-            return lambda x, t: fn(x, t) + (np.nan if t >= t_bad else 0.0)
+            return lambda x, t: fn(x, t) + np.where(t >= t_bad, np.nan, 0.0)
 
         p = dataclasses.replace(base, f=poisoned(base.f))
         if closed_form:
@@ -366,9 +366,17 @@ class TestForcingBlocks:
         solve(_forcing_of(scheme, closed_form, logged), SpatialGrid(8), mesh, scheme)
         names = [name for name, _ in log]
         sampled = "exact_f_conv" if closed_form and scheme is SchemeKind.TRANSFORMED else "f"
-        # Quadrature samples f at every level from t_0; closed forms from t_1.
         times = [t for name, t in log if name == sampled]
-        assert times == list(mesh.t[1 if closed_form else 0 :])
+        if sampled == "exact_f_conv":
+            # One call per block of 3 rows from t_1, the block's times as a
+            # column.
+            assert len(times) == math.ceil(40 / 3)
+            assert all(np.shape(t)[1:] == (1,) for t in times)
+            np.testing.assert_array_equal(np.concatenate(times)[:, 0], mesh.t[1:])
+        else:
+            # f once per level: from t_0 with quadrature forcing, from t_1
+            # for L1.
+            assert times == list(mesh.t[1 if closed_form else 0 :])
         assert names.count("f") + names.count("exact_f_conv") == names.count(sampled)
         # ceil(40 / 3) blocks of rows from t_1, or ceil(41 / 3) from t_0.
         assert names.count("apply_compact") == 14
@@ -377,6 +385,32 @@ class TestForcingBlocks:
         # One state update over one source per block that rows leave, at
         # the ends of the eight blocks of 4 levels from [5, 9) to [33, 37).
         assert names.count("state update") == 8
+
+    @pytest.mark.parametrize(
+        "scheme, grading",
+        [(SchemeKind.TRANSFORMED, 1.0), (SchemeKind.TRANSFORMED, 2.0), (SchemeKind.L1, 1.0)],
+    )
+    def test_f_gets_a_python_float_once_per_level_in_increasing_t(
+        self, monkeypatch, scheme, grading
+    ):
+        # The benchmark's tracer converts the t of each f call with float(),
+        # so f keeps scalar times, in quadrature forcing (from t_0) and in
+        # L1 (from t_1, closed form or not), across blocks of 3 rows.
+        _use_small_blocks(monkeypatch)
+        times = []
+
+        def wrap(name, fn):
+            def f(x, t):
+                times.append(t)
+                return fn(x, t)
+
+            return f if name == "f" else fn
+
+        l1 = scheme is SchemeKind.L1
+        mesh = graded_time_mesh(1.0, 40, grading)
+        solve(_forcing_of(scheme, l1, wrap), SpatialGrid(8), mesh, scheme)
+        assert all(type(t) is float for t in times)
+        assert times == mesh.t[1 if l1 else 0 :].tolist()
 
     @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
     def test_sine_runs_per_block_not_per_level(self, monkeypatch, scheme, closed_form):
