@@ -20,7 +20,6 @@ from .meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_me
 from .operators import TridiagonalSystem, apply_compact, norm_energy, solve_tridiagonal
 from .problems import (
     ProblemSpec,
-    SeriesSolution,
     available_problems,
     get_problem,
     manufactured_sin,
@@ -48,7 +47,6 @@ __all__ = [
     "norm_energy",
     "solve_tridiagonal",
     "ProblemSpec",
-    "SeriesSolution",
     "available_problems",
     "get_problem",
     "manufactured_sin",

@@ -17,12 +17,12 @@ odd extension drops the boundary values of phi, which ``ProblemSpec``
 bounds by 1e-12; the forcing is averaged by H in physical space first, so
 its boundary values still reach rows 1 and M-1.
 
-Everything on a level's right-hand side that does not depend on the
-solution is filled into its row before the march, in blocks of rows: a
-closed-form forcing integral is sampled once per block, with the block's
-times as a column, and f once per level, in increasing t; each block is
-then averaged and transformed at once.  The march itself only adds
-history to those rows and divides, with no forcing call and no transform.
+The forcing is filled into each level's row before the march, in blocks
+of rows: a closed-form forcing integral is sampled once per block, with
+the block's times as a column, and f once per level, in increasing t;
+each block is then averaged and transformed at once.  The march itself
+adds the initial data's share and the history to those rows and divides,
+with no forcing call and no transform.
 
 The history of a level is one weighted sum over one source: u, or z with
 quadrature forcing (see below).  Its weights come in two parts.  The rows
@@ -106,9 +106,9 @@ _WINDOW = 128
 # Levels per block of the march: one matrix product adds the history from
 # before the block to all of its levels.
 _BLOCK = 32
-# Working memory of one column chunk of a block product, of the forcing
-# transform or of the final sine transform, in bytes.
-_MERGE_BYTES = 512 * 1024
+# Working memory of one block of rows of the forcing transform or of the
+# final sine transform, in bytes.
+_CHUNK_BYTES = 512 * 1024
 # Exponents of the decay factors are clipped here, so that no subnormal
 # number enters a product: exp(-600) is 2.6e-261.
 _EXP_CLIP = 600.0
@@ -196,21 +196,15 @@ def _decay(rate: np.ndarray, dt) -> np.ndarray:
     return np.exp(-np.minimum(np.multiply.outer(rate, dt), _EXP_CLIP))
 
 
-def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale: np.ndarray) -> None:
-    """Add ``weights @ src``, times ``scale`` per column, to ``dst``.
+def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) -> None:
+    """Add ``weights @ src``, times ``scale`` (a float or one per column), to ``dst``.
 
-    One matrix product per chunk of columns (a slice of ``src`` near
-    ``_MERGE_BYTES / 8``) into one output buffer.
+    One matrix product over all columns: ``src`` is at most W + B window
+    rows, the states or one block of rows, so its product stays small.
     """
-    if not len(src):
-        return
-    width = max(len(dst), _MERGE_BYTES // (64 * len(src)))
-    out = np.empty((len(dst), min(width, src.shape[1])))
-    for c in range(0, src.shape[1], width):
-        part = out[:, : src.shape[1] - c]
-        np.matmul(weights, src[:, c : c + width], out=part)
-        part *= scale[c : c + width]
-        dst[:, c : c + width] += part
+    part = weights @ src
+    part *= scale
+    dst += part
 
 
 def solve(
@@ -269,11 +263,11 @@ def solve(
     # and F_j + gain u^j once level j is solved.  The forcing is sampled
     # into row n of u (closed forms, from n = 1) or of z (from n = 0) in
     # blocks of rows whose temporaries (odd extension, spectrum, result:
-    # about 64 M bytes a row) stay near ``_MERGE_BYTES``; H and the
+    # about 64 M bytes a row) stay near ``_CHUNK_BYTES``; H and the
     # transform then run on the whole block.
-    rows = max(1, _MERGE_BYTES // (64 * M))
+    rows = max(1, _CHUNK_BYTES // (64 * M))
     z = None if l1 or problem.exact_f_conv is not None else np.zeros_like(u)
-    src, scale = (u, gain) if z is None else (z, np.ones(M + 1))
+    src, scale = (u, gain) if z is None else (z, 1.0)
     for c in range(1 if z is None else 0, N + 1, rows):
         block = src[c : c + rows]
         if z is None and not l1:
@@ -288,13 +282,6 @@ def solve(
         block[:] = _sine(apply_compact(block))
     if z is not None:
         z[0] += gain * u[0]
-    # Row n of u then gets the rest of level n's right-hand side known in
-    # advance: base, plus seed_n times the source's row 0 on a uniform mesh.
-    for c in range(1, N + 1, rows):
-        rhs = u[c : c + rows]
-        rhs += base
-        if uniform:
-            rhs += seed[c - 1 : c - 1 + len(rhs), None] * (scale * src[0])
     if uniform:
         # Level n solves (rhs + scale T^n) / den: ``factor`` = scale / den.
         factor = np.broadcast_to(scale / den, (_BLOCK, M + 1))
@@ -330,7 +317,6 @@ def solve(
             # tau[k] is step k, with tau[0] = 0 for the a_0 = 0 of row 0.
             tau = np.diff(t, prepend=0.0)
         states = np.zeros((len(rate), M + 1))
-        one = np.ones(M + 1)
 
     # Blocks [b, e): row i of ``w`` weighs row j >= lo of the source in
     # level b + i at column j - lo.
@@ -350,6 +336,11 @@ def solve(
             w = a * 0.5
             w[:, 1:] += 0.5 * a[:, :-1]
             w = w[:, lo - first :]
+        # The known rest of the right-hand side: base, and seed_n times the
+        # source's row 0 on a uniform mesh.
+        u[b:e] += base
+        if uniform:
+            u[b:e] += seed[b - 1 : e - 1, None] * (scale * src[0])
         _add_products(u[b:e], w[:, : b - lo], src[lo:b], scale)
         if ref > j0:
             lev = levels[: e - b] if uniform else _decay(rate, t[b:e] - t[ref]).T
@@ -378,7 +369,7 @@ def solve(
                 hk *= np.expm1(-np.multiply.outer(rate, tau[ref : out + 1]))
                 hk *= -coef[:, None] / rate[:, None]
                 g = hk[:, :-1] + hk[:, 1:]
-            _add_products(states, g, src[ref:out], one)
+            _add_products(states, g, src[ref:out], 1.0)
             ref = out
 
     # Back to nodal values, in the same blocks of rows.  Row 0 gets phi as

@@ -69,6 +69,17 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             "ValueError: solution level 3 (t = 0.375) is not finite",
         ),
         (
+            # A closed form written for a scalar t is refused when the problem
+            # is built, not inside the solve's first block.
+            """
+            import dataclasses
+            from fracheat import manufactured_sin
+            dataclasses.replace(manufactured_sin(0.5),
+                                exact_f_conv=lambda x, t: 0.0 if t < 0.5 else 1.0)
+            """,
+            "ValueError: exact_f_conv must map x of shape (M+1,) and t of shape (k, 1)",
+        ),
+        (
             """
             import numpy as np
             from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
@@ -101,6 +112,7 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
         "weakly-dominant-rows",
         "nan-forcing",
         "nan-closed-form-forcing-inside-a-row-block",
+        "scalar-only-closed-form-forcing",
         "zero-kernel-weight",
         "zero-kernel-weight-in-a-later-block",
         "non-finite-mesh-level",

@@ -5,7 +5,6 @@ import pytest
 
 from fracheat.problems import (
     ProblemSpec,
-    SeriesSolution,
     available_problems,
     get_problem,
     manufactured_sin,
@@ -98,29 +97,18 @@ class TestSineDecay:
 
 
 class TestSeriesSolution:
-    def test_initial_time_reproduces_coefficients(self):
-        s = SeriesSolution(0.5, np.array([1.0, 0.0, 0.25]))
-        x = np.linspace(0.0, 1.0, 33)
-        expect = np.sin(np.pi * x) + 0.25 * np.sin(3.0 * np.pi * x)
-        np.testing.assert_allclose(s.evaluate(x, 0.0), expect, rtol=1e-14, atol=1e-15)
-
-    def test_order_one_is_heat_kernel_mode(self):
-        s = SeriesSolution(alpha=1.0, coefficients=np.array([1.0]))
-        x = np.linspace(0.0, 1.0, 9)
-        for t in (0.05, 0.2):
-            expect = math.exp(-math.pi**2 * t) * np.sin(np.pi * x)
-            np.testing.assert_allclose(s.evaluate(x, t), expect, rtol=1e-12, atol=1e-15)
+    """The series reference: the exact solution of ``sine_decay``."""
 
     def test_frozen_half_order_value(self):
         # alpha = 1/2, t = 0.01: factor is E_{1/2}(-pi^2 / 10)
-        s = SeriesSolution(0.5, np.array([1.0]))
-        got = float(s.evaluate(np.array([0.5]), 0.01)[0])
+        p = sine_decay(0.5, T=0.2)
+        got = float(p.exact_u(np.array([0.5]), 0.01)[0])
         assert got == pytest.approx(0.43117256514905254, rel=1e-12)
 
     def test_argument_envelope_enforced(self):
-        s = SeriesSolution(0.9, np.array([1.0]))
+        p = sine_decay(0.9, T=0.2)
         with pytest.raises(SeriesConvergenceError):
-            s.evaluate(np.array([0.5]), 10.0)
+            p.exact_u(np.array([0.5]), 10.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_nonfinite_time(self, t):
@@ -128,16 +116,10 @@ class TestSeriesSolution:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             p.exact_u(np.array([0.5]), t)
 
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            SeriesSolution(alpha=0.5, coefficients=np.array([]))
-        with pytest.raises(ValueError):
-            SeriesSolution(alpha=0.5, coefficients=np.array([np.nan]))
-        with pytest.raises(ValueError):
-            SeriesSolution(alpha=1.5, coefficients=np.array([1.0]))
-        with pytest.raises(ValueError):
-            s = SeriesSolution(0.5, np.array([1.0]))
-            s.evaluate(np.array([0.5]), -1.0)
+    def test_rejects_negative_time(self):
+        p = sine_decay(0.5, T=0.2)
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            p.exact_u(np.array([0.5]), -1.0)
 
 
 class TestRegistry:
@@ -211,3 +193,22 @@ class TestProblemSpecValidation:
             )
         with pytest.raises(ValueError, match=f"positive and finite, got T={T}"):
             get_problem("manufactured-sin", 0.5, T)
+
+    @pytest.mark.parametrize(
+        "conv",
+        [
+            # Written for a scalar t only: a column makes the comparison ambiguous.
+            lambda x, t: np.nan if t >= 0.5 else 0.0,
+            # One row whatever the number of times.
+            lambda x, t: np.zeros((3, np.size(x))),
+            # Nodes dropped.
+            lambda x, t: np.zeros(np.shape(t)[:1] + (3,)),
+        ],
+        ids=["scalar-only", "wrong-row-count", "wrong-node-count"],
+    )
+    def test_rejects_forcing_integral_without_the_column_contract(self, conv):
+        with pytest.raises(ValueError, match=r"t of shape \(k, 1\).*\(k, M\+1\)"):
+            ProblemSpec(
+                label="bad", alpha=0.5, T=1.0,
+                phi=self._zeros, f=lambda x, t: self._zeros(x), exact_f_conv=conv,
+            )

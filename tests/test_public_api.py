@@ -23,7 +23,6 @@ EXPECTED = {
     "solve_tridiagonal",
     # problems
     "ProblemSpec",
-    "SeriesSolution",
     "available_problems",
     "get_problem",
     "manufactured_sin",
@@ -43,7 +42,7 @@ EXPECTED = {
 
 
 def test_all_is_the_expected_surface():
-    assert len(fracheat.__all__) == len(set(fracheat.__all__)) == 29
+    assert len(fracheat.__all__) == len(set(fracheat.__all__)) == 28
     assert set(fracheat.__all__) == EXPECTED
 
 

@@ -18,10 +18,10 @@ from oracles import dense_compact_matrix, dense_second_diff_matrix
 
 def _use_small_blocks(monkeypatch):
     """At M = 8: windows of 4 levels, so that the rows older than that reach
-    a level through the sum-of-exponentials states, product chunks a few
-    columns wide, and forcing blocks of 3 rows (1 for the last of N = 40)."""
+    a level through the sum-of-exponentials states, and forcing blocks of 3
+    rows (1 for the last of N = 40)."""
     monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
-    monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 3 * 64 * 8)
+    monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 3 * 64 * 8)
 
 
 def _dense_march(problem, M, mesh, scheme):
@@ -176,13 +176,13 @@ class TestBothSchemes:
     def test_toeplitz_march_matches_dense_oracle(
         self, monkeypatch, scheme, problem, closed_form, N, block
     ):
-        # Windows of 4 levels and product chunks one block wide, so rows
-        # more than 4 levels before a block reach it through the states,
-        # which absorb 2 or 3 rows per block.  The last block is cut off by
-        # N; one of 32 holds the whole march and builds no states.
+        # Windows of 4 levels and forcing blocks of one row, so rows more
+        # than 4 levels before a block reach it through the states, which
+        # absorb 2 or 3 rows per block.  The last block is cut off by N; one
+        # of 32 holds the whole march and builds no states.
         monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
-        monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
+        monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 1)
         p = _oracle_problem(problem, closed_form)
         M, mesh = 8, uniform_time_mesh(1.0, N)
         got = solve(p, SpatialGrid(M), mesh, scheme).values
@@ -208,10 +208,10 @@ class TestBothSchemes:
         # Windows of 4 levels, so the rows before them reach a block through
         # the states.  Blocks of 1, 3 and 5 levels (5 is wider than the
         # window), the last cut off by N, and one of 32 that holds the
-        # whole march; one-block-wide product chunks.
+        # whole march; forcing blocks of one row.
         monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
-        monkeypatch.setattr(fracheat.solver, "_MERGE_BYTES", 1)
+        monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 1)
         p = _oracle_problem(problem, closed_form)
         M, mesh = 8, graded_time_mesh(1.0, N, 2.0)
         got = solve(p, SpatialGrid(M), mesh).values
@@ -363,7 +363,10 @@ class TestForcingBlocks:
             fn = getattr(fracheat.solver, name)
             monkeypatch.setattr(fracheat.solver, name, logged(name, fn))
         mesh = uniform_time_mesh(1.0, 40)
-        solve(_forcing_of(scheme, closed_form, logged), SpatialGrid(8), mesh, scheme)
+        p = _forcing_of(scheme, closed_form, logged)
+        # Building the problem checks the shape of exact_f_conv once.
+        log.clear()
+        solve(p, SpatialGrid(8), mesh, scheme)
         names = [name for name, _ in log]
         sampled = "exact_f_conv" if closed_form and scheme is SchemeKind.TRANSFORMED else "f"
         times = [t for name, t in log if name == sampled]
@@ -433,8 +436,8 @@ class TestForcingBlocks:
     def test_working_memory_is_the_lattices_and_two_chunks(self, closed_form, grading):
         # A lattice-sized temporary would add 1.6 MB to a peak that should
         # hold the lattice (and the quadrature history source z) plus at
-        # most two chunks of transform or block product work; the states
-        # and the weights of one block are smaller than a chunk.
+        # most two chunks of transform work; the states, the weights of one
+        # block and its products are smaller than a chunk.
         p = _forcing_of(SchemeKind.TRANSFORMED, closed_form, lambda name, fn: fn)
         grid, mesh = SpatialGrid(100), graded_time_mesh(1.0, 2048, grading)
         lattices = (1 if closed_form else 2) * (mesh.N + 1) * (grid.M + 1) * 8
@@ -446,7 +449,7 @@ class TestForcingBlocks:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak < lattices + 2 * fracheat.solver._MERGE_BYTES
+        assert peak < lattices + 2 * fracheat.solver._CHUNK_BYTES
 
 
 class TestSineLevelSolve:
