@@ -21,8 +21,14 @@ import numpy as np
 
 from .special import gamma, mittag_leffler
 
-__all__ = ["ProblemSpec", "manufactured_sin", "zero_problem", "sine_decay",
-           "available_problems", "get_problem"]
+__all__ = [
+    "ProblemSpec",
+    "manufactured_sin",
+    "zero_problem",
+    "sine_decay",
+    "available_problems",
+    "get_problem",
+]
 
 SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 

@@ -23,14 +23,18 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .meshes import TemporalMesh
+from .meshes import SpatialGrid, TemporalMesh
 from .special import gamma
 
-__all__ = ["weights_row", "midpoint_convolution"]
+__all__ = [
+    "weights_row",
+    "midpoint_convolution",
+    "forcing_convolution_profile",
+]
 
 # Largest relative error of ``_exp_sum`` against t**-beta on its interval,
 # for 0 < beta < 2.
@@ -102,6 +106,27 @@ def midpoint_convolution(
         raise ValueError(f"need samples at levels 0..{n}, got {g.size}")
     w = weights_row(alpha, mesh, n)
     return float(w @ (g[1 : n + 1] + g[:n]) / 2.0)
+
+
+def forcing_convolution_profile(
+    f: Callable[[np.ndarray, float], np.ndarray],
+    grid: SpatialGrid,
+    alpha: float,
+    mesh: TemporalMesh,
+    n: int,
+) -> np.ndarray:
+    """Fractional integral of the forcing at every grid node at once.
+
+    Applies ``midpoint_convolution``'s rule at each node, with a single
+    kernel-weight row and vectorized samples f(x, t_k), k = 0..n.
+    """
+    if n == 0:
+        return np.zeros(grid.M + 1)
+    samples = np.stack(
+        [np.asarray(f(grid.x, t), dtype=float) for t in mesh.t[: n + 1]]
+    )
+    w = weights_row(alpha, mesh, n)
+    return w @ (samples[1 : n + 1] + samples[:n]) / 2.0
 
 
 @functools.lru_cache(maxsize=16)

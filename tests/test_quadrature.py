@@ -10,6 +10,7 @@ from fracheat.quadrature import (
     _SOE_TOL,
     _exp_sum,
     _gauss_jacobi,
+    forcing_convolution_profile,
     midpoint_convolution,
     weights_row,
 )
@@ -228,6 +229,16 @@ class TestForcingConvolution:
         assert midpoint_convolution(0.5, mesh, np.zeros(mesh.N + 1), 6) == 0.0
         assert midpoint_convolution(0.5, mesh, np.ones(mesh.N + 1), 0) == 0.0
 
+    def test_profile_matches_scalar_calls(self):
+        problem = manufactured_sin(0.5)
+        grid = SpatialGrid(8)
+        mesh = uniform_time_mesh(1.0, 12)
+        prof = forcing_convolution_profile(problem.f, grid, 0.5, mesh, 12)
+        for i, x in enumerate(grid.x):
+            g = np.array([problem.f(x, t) for t in mesh.t])
+            scalar = midpoint_convolution(0.5, mesh, g, 12)
+            assert prof[i] == pytest.approx(scalar, rel=1e-13, abs=1e-15)
+
     def test_quadrature_close_to_closed_form(self):
         # The manufactured problem knows its forcing integral in closed
         # form; the product-quadrature path reproduces it to the level the
@@ -237,11 +248,11 @@ class TestForcingConvolution:
         problem = manufactured_sin(alpha)
         grid = SpatialGrid(100)
         mesh = uniform_time_mesh(1.0, 320)
-        # One column of samples f(x_i, t_k), k = 0..N, per node.
-        samples = np.stack([problem.f(grid.x, t) for t in mesh.t])
         worst = 0.0
-        for n in range(16, mesh.N + 1, 16):
-            quad_prof = np.array([midpoint_convolution(alpha, mesh, g, n) for g in samples.T])
+        for n in range(0, mesh.N + 1, 16):
+            if n == 0:
+                continue
+            quad_prof = forcing_convolution_profile(problem.f, grid, alpha, mesh, n)
             closed = problem.exact_f_conv(grid.x, mesh.t[n])
             worst = max(worst, float(np.max(np.abs(quad_prof - closed))))
         assert worst <= 1e-3
