@@ -15,12 +15,12 @@ clean reference for the observed order, 1 + alpha.
 """
 
 import math
+from math import gamma
 
 import numpy as np
 
 from fracheat.meshes import graded_time_mesh, uniform_time_mesh
 from fracheat.quadrature import midpoint_convolution, weights_row
-from fracheat.special import gamma
 
 
 def main() -> None:

@@ -20,16 +20,17 @@ from fracheat.solver import solve
 
 
 def main() -> None:
-    problem = sine_decay(0.5, T=0.01)
+    problem = sine_decay(0.5)
     grid = SpatialGrid(64)
     N = 256
-
-    print("alpha = 0.5, T = 0.01, M = 64, N = 256, error over the whole lattice:")
-    for label, mesh in (
+    meshes = (
         ("uniform      ", uniform_time_mesh(0.01, N)),
         ("graded r = 2 ", graded_time_mesh(0.01, N, 2.0)),
         ("graded r = 3 ", graded_time_mesh(0.01, N, 3.0)),
-    ):
+    )
+    T = meshes[0][1].T
+    print(f"alpha = 0.5, T = {T:g}, M = 64, N = 256, error over the whole lattice:")
+    for label, mesh in meshes:
         lattice = solve(problem, grid, mesh)
         err = max_lattice_error(lattice, problem.exact_u)
         errs = [

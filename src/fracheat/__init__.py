@@ -28,7 +28,7 @@ from .problems import (
 )
 from .quadrature import weights_row
 from .solver import SchemeKind, SolutionLattice, solve
-from .special import SeriesConvergenceError, gamma, mittag_leffler
+from .special import SeriesConvergenceError, mittag_leffler
 
 __all__ = [
     "ConvergenceReport",
@@ -57,7 +57,6 @@ __all__ = [
     "SolutionLattice",
     "solve",
     "SeriesConvergenceError",
-    "gamma",
     "mittag_leffler",
 ]
 

@@ -6,7 +6,7 @@ report.  Each computes its results before it renders any text, then hands
 ``_emit`` the report as chunks: the converge report in one, a run dump as
 its header and then one chunk per time level.  ``_emit`` writes them as
 they come to stdout or to the ``--output`` file.  Usage problems exit with
-status 2, runtime failures with 1.
+status 2, runtime failures (an unwritable ``--output`` too) with 1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .harness import SweepConfig, parse_mesh_kind, run_sweep
+from .harness import _LEVEL_NORMS, SweepConfig, parse_mesh_kind, run_sweep
 from .meshes import SpatialGrid, graded_time_mesh
 from .problems import available_problems, get_problem
 from .solver import SchemeKind, solve
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="final-time profile or the whole space-time lattice")
     conv_p = sub.add_parser("converge", help="run a refinement ladder and report errors")
     _add_common(conv_p)
-    conv_p.add_argument("--norm", choices=["max", "a", "l2"], default="max",
+    conv_p.add_argument("--norm", choices=list(_LEVEL_NORMS), default="max",
                         help="error norm for the report")
     return parser
 
@@ -145,7 +145,7 @@ def _percent_spec(spec: str) -> str:
 def _dump_run(args: argparse.Namespace) -> Iterator[str]:
     """Solve, then return the chunks of the final-time profile (x, u) or of
     the lattice (t, x, u), one node a line."""
-    problem = get_problem(args.problem, args.alpha[0], args.final_time)
+    problem = get_problem(args.problem, args.alpha[0])
     grid = SpatialGrid(args.spatial_cells)
     mesh = graded_time_mesh(args.final_time, args.time_steps[0], parse_mesh_kind(args.mesh))
     lattice = solve(problem, grid, mesh, SchemeKind(args.scheme))
@@ -196,7 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         chunks = _dump_run(args) if args.command == "run" else _converge_report(args)
         _emit(chunks, args.output)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"fracheat: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -38,18 +38,26 @@ CSV_HEADER = "alpha,scheme,mesh,M,N,E1,rate,wall_seconds"
 # Error rows scored per block: about 64 KB of doubles.
 _SCORE_BYTES = 1 << 16
 
+# Error norms by name: each maps a stack of level errors (which it may
+# overwrite) and the grid width h to one norm per row.
+_LEVEL_NORMS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
+    "max": lambda d, h: np.abs(d, out=d).max(axis=-1),
+    "a": norm_energy,
+    "l2": norm_l2,
+}
+
 
 def _worst_level(
     lattice: SolutionLattice,
     exact: Callable[[np.ndarray, float], np.ndarray],
-    level_errors: Callable[[np.ndarray], np.ndarray],
+    norm: str,
 ) -> float:
-    """Largest level error of the lattice's difference from ``exact``.
+    """Largest ``norm`` of the lattice's difference from ``exact`` at a level.
 
     ``exact`` is called once per level, and the differences of a block of
-    levels fill the rows of one reused buffer, which ``level_errors`` may
-    overwrite while it returns one error per row.  A non-finite error
-    raises, naming the first level that has one.
+    levels fill the rows of one reused buffer, which one call of the norm
+    scores row by row.  A non-finite error raises, naming the first level
+    that has one.
     """
     values, x, t = lattice.values, lattice.grid.x, lattice.mesh.t.tolist()
     rows = max(1, _SCORE_BYTES // values[0].nbytes)
@@ -60,7 +68,7 @@ def _worst_level(
         for k, row in enumerate(diff):
             row[:] = exact(x, t[start + k])
         np.subtract(values[start : start + len(diff)], diff, out=diff)
-        errs = level_errors(diff)
+        errs = _LEVEL_NORMS[norm](diff, lattice.grid.h)
         bad = np.flatnonzero(~np.isfinite(errs))
         if bad.size:
             n = start + int(bad[0])
@@ -78,7 +86,7 @@ def max_lattice_error(
 
     A non-finite error at any level raises ValueError.
     """
-    return _worst_level(lattice, exact, lambda d: np.abs(d, out=d).max(axis=1))
+    return _worst_level(lattice, exact, "max")
 
 
 def lattice_error(
@@ -94,14 +102,9 @@ def lattice_error(
     """
     if norm == "max":
         return max_lattice_error(lattice, exact)
-    if norm == "l2":
-        level = norm_l2
-    elif norm == "a":
-        level = norm_energy
-    else:
-        raise ValueError(f"unknown norm {norm!r} (known: max, a, l2)")
-    h = lattice.grid.h
-    return _worst_level(lattice, exact, lambda d: np.array([level(row, h) for row in d]))
+    if norm not in _LEVEL_NORMS:
+        raise ValueError(f"unknown norm {norm!r} (known: {', '.join(_LEVEL_NORMS)})")
+    return _worst_level(lattice, exact, norm)
 
 
 def parse_mesh_kind(mesh_kind: str) -> float:
@@ -146,16 +149,15 @@ class SweepConfig:
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError(f"repeated alpha in {self.alphas}")
         parse_mesh_kind(self.mesh_kind)  # fail fast on bad mesh strings
-        if self.norm not in ("max", "a", "l2"):
+        if self.norm not in _LEVEL_NORMS:
             raise ValueError(f"unknown norm {self.norm!r}")
 
 
 @dataclass(frozen=True)
 class ReportRow:
+    """One solve of a sweep; its scheme, mesh and M are the report's config."""
+
     alpha: float
-    scheme: str
-    mesh: str
-    M: int
     N: int
     E1: float
     rate: Optional[float]
@@ -168,11 +170,12 @@ class ConvergenceReport:
     rows: tuple[ReportRow, ...] = field(default_factory=tuple)
 
     def to_csv(self) -> str:
+        cfg = self.config
         lines = [CSV_HEADER]
         for r in self.rows:
             rate = "" if r.rate is None else f"{r.rate:.5e}"
             lines.append(
-                f"{r.alpha:g},{r.scheme},{r.mesh},{r.M},{r.N},"
+                f"{r.alpha:g},{cfg.scheme.value},{cfg.mesh_kind},{cfg.M},{r.N},"
                 f"{r.E1:.5e},{rate},{r.wall_seconds:.5e}"
             )
         return "\n".join(lines) + "\n"
@@ -208,7 +211,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     rows: list[ReportRow] = []
     grading = parse_mesh_kind(config.mesh_kind)
     for alpha in config.alphas:
-        problem = get_problem(config.problem_label, alpha, config.T)
+        problem = get_problem(config.problem_label, alpha)
         if problem.exact_u is None:
             raise ValueError(
                 f"problem {config.problem_label!r} has no exact solution to sweep against"
@@ -225,9 +228,6 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
                 rate = float(np.log2(prev.E1 / err))
             row = ReportRow(
                 alpha=alpha,
-                scheme=config.scheme.value,
-                mesh=config.mesh_kind,
-                M=config.M,
                 N=N,
                 E1=err,
                 rate=rate,

@@ -42,7 +42,6 @@ class TemporalMesh:
     """Strictly increasing time levels 0 = t_0 < t_1 < ... < t_N = T."""
 
     t: np.ndarray
-    T: float
 
     def __post_init__(self) -> None:
         t = _readonly(self.t)
@@ -53,14 +52,15 @@ class TemporalMesh:
         if not finite.all():
             n = int(np.argmin(finite))
             raise ValueError(f"time level t_{n}={t[n]} is not finite")
-        if not np.isfinite(self.T):
-            raise ValueError(f"final time T={self.T} is not finite")
         if t[0] != 0.0:
             raise ValueError(f"mesh must start at 0, got t_0={t[0]}")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("time levels must be strictly increasing")
-        if abs(t[-1] - self.T) > 8.0 * np.finfo(float).eps * max(1.0, self.T):
-            raise ValueError(f"t_N={t[-1]} does not match T={self.T}")
+
+    @property
+    def T(self) -> float:
+        """Final time T = t_N; the last level is its only record."""
+        return float(self.t[-1])
 
     @property
     def N(self) -> int:
@@ -88,7 +88,7 @@ def uniform_time_mesh(T: float, N: int) -> TemporalMesh:
     size, so t_N equals T exactly and refining N keeps shared levels
     bit-identical.
     """
-    return TemporalMesh(t=T * _unit_levels(T, N), T=T)
+    return TemporalMesh(t=T * _unit_levels(T, N))
 
 
 def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
@@ -102,4 +102,4 @@ def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
         raise ValueError(f"grading exponent must be finite and satisfy r >= 1, got r={r}")
     if r == 1.0:
         return uniform_time_mesh(T, N)
-    return TemporalMesh(t=T * _unit_levels(T, N) ** r, T=T)
+    return TemporalMesh(t=T * _unit_levels(T, N) ** r)

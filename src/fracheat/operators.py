@@ -2,7 +2,7 @@
 
 Grid functions are plain 1-D numpy arrays of length M+1 holding nodal
 values on a ``SpatialGrid``; indices 0 and M are boundary nodes.  The
-compact average also takes a stack of them, acting along the last axis.
+stencils and norms also take a stack of them, acting along the last axis.
 All the spatial structure of the schemes lives in two stencils:
 
 * the compact average  (v[i-1] + 10 v[i] + v[i+1]) / 12, which lifts the
@@ -35,6 +35,11 @@ __all__ = [
     "solve_tridiagonal",
 ]
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, each one as ``np.dot`` forms it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def apply_compact(v: np.ndarray) -> np.ndarray:
     """Compact average: (v[i-1] + 10 v[i] + v[i+1]) / 12 at interior nodes.
 
@@ -49,23 +54,23 @@ def apply_compact(v: np.ndarray) -> np.ndarray:
 def apply_second_diff(v: np.ndarray, h: float) -> np.ndarray:
     """Centered second difference at interior nodes, zero at the boundary."""
     out = np.zeros_like(v, dtype=float)
-    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
+    out[..., 1:-1] = (v[..., :-2] - 2.0 * v[..., 1:-1] + v[..., 2:]) / (h * h)
     return out
 
 
-def norm_l2(v: np.ndarray, h: float) -> float:
+def norm_l2(v: np.ndarray, h: float) -> float | np.ndarray:
     """Discrete L2 norm sqrt(h * sum_{i=1}^{M-1} v_i**2) over interior nodes."""
-    w = v[1:-1]
-    return float(np.sqrt(h * np.dot(w, w)))
+    w = v[..., 1:-1]
+    return np.sqrt(h * _dot_rows(w, w))
 
 
-def seminorm_h1(v: np.ndarray, h: float) -> float:
+def seminorm_h1(v: np.ndarray, h: float) -> float | np.ndarray:
     """Discrete H1 seminorm sqrt(h * sum_{i=1}^{M} ((v_i - v_{i-1})/h)**2)."""
     d = np.diff(v) / h
-    return float(np.sqrt(h * np.dot(d, d)))
+    return np.sqrt(h * _dot_rows(d, d))
 
 
-def norm_energy(v: np.ndarray, h: float) -> float:
+def norm_energy(v: np.ndarray, h: float) -> float | np.ndarray:
     """Energy norm induced by the compact stencil.
 
     Defined by  |v|_E**2 = |grad v|**2 - (h**2/12) * h * sum (d2 v_i)**2
@@ -75,14 +80,14 @@ def norm_energy(v: np.ndarray, h: float) -> float:
     rounding; a radicand below -1e-12 relative to the seminorm squared is
     reported as an error instead of silently clamped.
     """
-    semi2 = h * np.sum((np.diff(v) / h) ** 2)
-    d2 = apply_second_diff(v, h)[1:-1]
-    rad = semi2 - (h * h / 12.0) * h * np.dot(d2, d2)
-    if rad < 0.0:
-        if rad < -1e-12 * max(semi2, np.finfo(float).tiny):
-            raise ValueError(f"energy norm radicand is negative: {rad}")
-        rad = 0.0
-    return float(np.sqrt(rad))
+    semi2 = h * np.sum((np.diff(v) / h) ** 2, axis=-1)
+    d2 = apply_second_diff(v, h)[..., 1:-1]
+    rad = semi2 - (h * h / 12.0) * h * _dot_rows(d2, d2)
+    bad = rad < -1e-12 * np.maximum(semi2, np.finfo(float).tiny)
+    if np.any(bad):
+        worst = np.min(np.where(bad, rad, 0.0))
+        raise ValueError(f"energy norm radicand is negative: {worst}")
+    return np.sqrt(np.maximum(rad, 0.0))
 
 
 @dataclass(frozen=True)

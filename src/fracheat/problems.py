@@ -14,12 +14,13 @@ an avoidable layer of quadrature error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .special import gamma, mittag_leffler
+from .special import mittag_leffler
 
 __all__ = [
     "ProblemSpec",
@@ -41,7 +42,7 @@ def _zeros(x: np.ndarray, t: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One well-posed problem instance.
+    """One well-posed problem instance; its final time is its mesh's ``T``.
 
     ``f`` and ``exact_u`` are vectorized over the node array x at a fixed
     time: the solver and the harness pass a Python float t, once per level.
@@ -54,9 +55,7 @@ class ProblemSpec:
     that shape, not the values, with five nodes and a column of two times.
     """
 
-    label: str
     alpha: float
-    T: float
     phi: Callable[[np.ndarray], np.ndarray]
     f: SpaceTimeFn
     exact_u: Optional[SpaceTimeFn] = None
@@ -65,8 +64,6 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (np.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"final time must be positive and finite, got T={self.T}")
         ends = np.asarray(self.phi(np.array([0.0, 1.0])), dtype=float)
         if np.max(np.abs(ends)) > 1e-12:
             raise ValueError("initial data must vanish at both boundaries")
@@ -77,7 +74,7 @@ class ProblemSpec:
                 raise ValueError("exact_u at t=0 does not reproduce phi")
         if self.exact_f_conv is not None:
             try:
-                np.broadcast_to(self.exact_f_conv(xs, np.array([[0.5], [1.0]]) * self.T), (2, 5))
+                np.broadcast_to(self.exact_f_conv(xs, np.array([[0.5], [1.0]])), (2, 5))
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     "exact_f_conv must map x of shape (M+1,) and t of shape (k, 1) to an "
@@ -85,7 +82,7 @@ class ProblemSpec:
                 ) from exc
 
 
-def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
+def manufactured_sin(alpha: float) -> ProblemSpec:
     """Manufactured benchmark with exact solution u = sin(pi x) t**2.
 
     The forcing that produces it is
@@ -98,8 +95,8 @@ def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
 
         sin(pi x) (2 pi**2 t**(2+alpha) / Gamma(3+alpha) + t**2).
     """
-    g3m = gamma(3.0 - alpha)
-    g3p = gamma(3.0 + alpha)
+    g3m = math.gamma(3.0 - alpha)
+    g3p = math.gamma(3.0 + alpha)
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
         return np.sin(np.pi * x) * (np.pi**2 * t**2 + 2.0 * t ** (2.0 - alpha) / g3m)
@@ -113,9 +110,7 @@ def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
         )
 
     return ProblemSpec(
-        label="manufactured-sin",
         alpha=alpha,
-        T=T,
         phi=_zeros,
         f=f,
         exact_u=exact_u,
@@ -123,12 +118,10 @@ def manufactured_sin(alpha: float, T: float = 1.0) -> ProblemSpec:
     )
 
 
-def zero_problem(alpha: float, T: float = 1.0) -> ProblemSpec:
+def zero_problem(alpha: float) -> ProblemSpec:
     """phi = 0, f = 0: the solution is identically zero."""
     return ProblemSpec(
-        label="zero",
         alpha=alpha,
-        T=T,
         phi=_zeros,
         f=_zeros,
         exact_u=_zeros,
@@ -136,7 +129,7 @@ def zero_problem(alpha: float, T: float = 1.0) -> ProblemSpec:
     )
 
 
-def sine_decay(alpha: float, T: float = 1.0) -> ProblemSpec:
+def sine_decay(alpha: float) -> ProblemSpec:
     """Unforced decay of the first sine mode, phi = sin(pi x), f = 0.
 
     The exact solution is E_alpha(-pi**2 t**alpha) sin(pi x); evaluating
@@ -152,9 +145,7 @@ def sine_decay(alpha: float, T: float = 1.0) -> ProblemSpec:
         return mittag_leffler(alpha, -(np.pi**2) * t**alpha) * phi(x)
 
     return ProblemSpec(
-        label="sine-decay",
         alpha=alpha,
-        T=T,
         phi=phi,
         f=_zeros,
         exact_u=exact_u,
@@ -162,7 +153,7 @@ def sine_decay(alpha: float, T: float = 1.0) -> ProblemSpec:
     )
 
 
-_FACTORIES: dict[str, Callable[[float, float], ProblemSpec]] = {
+_FACTORIES: dict[str, Callable[[float], ProblemSpec]] = {
     "manufactured-sin": manufactured_sin,
     "zero": zero_problem,
     "sine-decay": sine_decay,
@@ -174,11 +165,11 @@ def available_problems() -> tuple[str, ...]:
     return tuple(_FACTORIES)
 
 
-def get_problem(label: str, alpha: float, T: float = 1.0) -> ProblemSpec:
+def get_problem(label: str, alpha: float) -> ProblemSpec:
     """Instantiate a registered problem by label."""
     try:
         factory = _FACTORIES[label]
     except KeyError:
         known = ", ".join(_FACTORIES)
         raise ValueError(f"unknown problem label {label!r} (known: {known})") from None
-    return factory(alpha, T)
+    return factory(alpha)

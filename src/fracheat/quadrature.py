@@ -28,7 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .meshes import SpatialGrid, TemporalMesh
-from .special import gamma
 
 __all__ = [
     "weights_row",
@@ -75,7 +74,7 @@ def weights_row(
     # Step k of level m takes (t_m - t_k)**alpha, clipped to 0 past t_m.
     powers = np.maximum(mesh.t[n:hi, None] - mesh.t[start:hi], 0.0)
     powers **= alpha
-    w = (powers[:, :-1] - powers[:, 1:]) / gamma(1.0 + alpha)
+    w = (powers[:, :-1] - powers[:, 1:]) / math.gamma(1.0 + alpha)
     ok = (w > 0.0) & (w < np.inf) | (np.arange(start, hi - 1) >= np.arange(n, hi)[:, None])
     if not ok.all():
         i, k = np.unravel_index(np.argmin(ok), ok.shape)
@@ -178,4 +177,4 @@ def _exp_sum(beta: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarra
     s = np.exp(np.add.outer(np.arange(panels) - math.log(T), y).ravel())
     rates = np.concatenate((u / T, s))
     weights = np.concatenate((w * T**-beta, np.tile(v, panels) * s**beta))
-    return rates, weights / gamma(beta)
+    return rates, weights / math.gamma(beta)

@@ -86,6 +86,7 @@ returning it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,6 @@ from .meshes import SpatialGrid, TemporalMesh
 from .operators import apply_compact
 from .problems import ProblemSpec
 from .quadrature import _exp_sum, weights_row
-from .special import gamma
 
 __all__ = ["SchemeKind", "SolutionLattice", "solve"]
 
@@ -235,7 +235,7 @@ def solve(
         # Coefficients depend on the lag n - j only: ``lag`` weighs row j
         # of the history source in level n, and ``seed`` its row 0.
         if l1:
-            p, r = 1.0 / (gamma(2.0 - alpha) * (mesh.T / N) ** alpha), 1.0
+            p, r = 1.0 / (math.gamma(2.0 - alpha) * (mesh.T / N) ** alpha), 1.0
             j = np.arange(N, dtype=float)
             seed = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
             lag = np.concatenate(([0.0], seed[:-1] - seed[1:]))
@@ -302,7 +302,7 @@ def solve(
             if l1:
                 coef = alpha * (1.0 - alpha) * weight * (np.expm1(-rate) / rate) ** 2
             else:
-                coef = weight * (mesh.T / N) ** alpha / (2.0 * gamma(alpha))
+                coef = weight * (mesh.T / N) ** alpha / (2.0 * math.gamma(alpha))
                 coef *= -np.expm1(-2.0 * rate) / rate
             # Lag k weighs sum_l coef_l exp(-s_l (k - 1)).  Level b + i is
             # W + i steps after the window start of its block, and row
@@ -313,7 +313,7 @@ def solve(
             decay = _decay(rate, [_BLOCK])
         else:
             rate, weight = _exp_sum(1.0 - alpha, np.min(t[_WINDOW:] - t[:-_WINDOW]), mesh.T)
-            coef = weight / (2.0 * gamma(alpha))
+            coef = weight / (2.0 * math.gamma(alpha))
             # tau[k] is step k, with tau[0] = 0 for the a_0 = 0 of row 0.
             tau = np.diff(t, prepend=0.0)
         states = np.zeros((len(rate), M + 1))

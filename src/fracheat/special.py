@@ -1,18 +1,15 @@
-"""Gamma function access and a Mittag-Leffler series evaluator.
+"""The Mittag-Leffler function E_beta(z) by its Taylor series.
 
-Everything downstream (quadrature weights, closed-form forcings, series
-references) funnels its special-function needs through this module so the
-conventions live in one place: ``gamma`` rejects the nonpositive axis, and
-``mittag_leffler`` evaluates E_beta(z) by its Taylor series with terms formed
-in log space, stopping at the relative tolerance ``_TOL`` or after
-``_MAX_TERMS`` terms.
+Terms are formed in log space; the sum stops at the relative tolerance
+``_TOL`` or after ``_MAX_TERMS`` terms.  Gamma has no wrapper here: every
+argument the package passes is positive, so callers use ``math.gamma``.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["gamma", "mittag_leffler", "SeriesConvergenceError"]
+__all__ = ["mittag_leffler", "SeriesConvergenceError"]
 
 # exp(x) overflows float64 a little above 709; stay clear of the edge.
 _LOG_OVERFLOW = 700.0
@@ -28,31 +25,6 @@ _MAX_TERMS = 500
 
 class SeriesConvergenceError(RuntimeError):
     """Raised when a series evaluation stops before meeting its tolerance."""
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the positive real axis.
-
-    Parameters
-    ----------
-    x : float
-        Argument, must be positive.  The solver only ever needs arguments
-        in (0, 4] but any positive value is accepted.
-
-    Returns
-    -------
-    float
-        Gamma(x).
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0`` (the poles and the negative axis are not needed
-        anywhere in this package, so they are rejected outright).
-    """
-    if x <= 0.0:
-        raise ValueError(f"gamma requires a positive argument, got {x}")
-    return math.gamma(x)
 
 
 def mittag_leffler(beta: float, z: float) -> float:

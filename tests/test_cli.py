@@ -219,6 +219,15 @@ class TestRunStreaming:
         assert "solve failed" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("name", ["missing/out.csv", ""], ids=["no-such-dir", "a-dir"])
+    def test_unwritable_output_exits_one(self, name, tmp_path, capsys):
+        rc = main([
+            "run", "--alpha", "0.5", "--time-steps", "8", "--output", str(tmp_path / name),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("fracheat: error:")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRun:
     def test_zero_problem_profile(self, capsys):

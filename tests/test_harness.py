@@ -15,6 +15,7 @@ from fracheat.harness import (
     run_sweep,
 )
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
+from fracheat.operators import norm_energy, norm_l2
 from fracheat.problems import manufactured_sin
 from fracheat.solver import SolutionLattice, solve
 
@@ -63,6 +64,11 @@ class TestLatticeError:
         e_a = lattice_error(lattice, p.exact_u, "a")
         assert 0.0 < e_l2 < e_max
         assert e_a > 0.0 and math.isfinite(e_a)
+        # Each norm scores a whole block of levels in one call; it must
+        # give the largest of the norms taken one level at a time.
+        diffs = [row - p.exact_u(grid.x, t) for row, t in zip(lattice.values, mesh.t.tolist())]
+        for got, level in ((e_l2, norm_l2), (e_a, norm_energy)):
+            assert got == pytest.approx(max(level(d, grid.h) for d in diffs), rel=1e-15)
 
     def test_rejects_unknown_norm(self):
         p = manufactured_sin(0.5)
@@ -118,9 +124,8 @@ class TestRunSweep:
 
     def test_row_identity_columns(self, small_report):
         assert [r.N for r in small_report.rows] == [4, 8, 16]
-        for r in small_report.rows:
-            assert r.alpha == 0.5 and r.M == 16
-            assert r.scheme == "transformed" and r.mesh == "uniform"
+        for line in small_report.to_csv().splitlines()[1:]:
+            assert line.split(",")[:4] == ["0.5", "transformed", "uniform", "16"]
 
     def test_rates_where_ladder_doubles(self, small_report):
         rows = small_report.rows

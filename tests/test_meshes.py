@@ -97,28 +97,22 @@ class TestGradedMesh:
 class TestTemporalMeshValidation:
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError):
-            TemporalMesh(t=np.array([0.1, 0.5, 1.0]), T=1.0)
+            TemporalMesh(t=np.array([0.1, 0.5, 1.0]))
 
     def test_must_increase(self):
         with pytest.raises(ValueError):
-            TemporalMesh(t=np.array([0.0, 0.5, 0.5, 1.0]), T=1.0)
-
-    def test_must_end_at_T(self):
-        with pytest.raises(ValueError):
-            TemporalMesh(t=np.array([0.0, 0.5, 0.9]), T=1.0)
+            TemporalMesh(t=np.array([0.0, 0.5, 0.5, 1.0]))
 
     @pytest.mark.parametrize(
-        "t, T, cause",
+        "t, cause",
         [
-            ([0.0, 1.0, np.inf], np.inf, r"time level t_2=inf is not finite"),
-            ([0.0, np.nan, 1.0], 1.0, r"time level t_1=nan is not finite"),
-            ([0.0, 0.5, 1.0], np.nan, r"final time T=nan is not finite"),
-            ([0.0, 0.5, 1.0], np.inf, r"final time T=inf is not finite"),
+            ([0.0, 1.0, np.inf], r"time level t_2=inf is not finite"),
+            ([0.0, np.nan, 1.0], r"time level t_1=nan is not finite"),
         ],
     )
-    def test_rejects_non_finite(self, t, T, cause):
+    def test_rejects_non_finite(self, t, cause):
         with pytest.raises(ValueError, match=cause):
-            TemporalMesh(t=np.array(t), T=T)
+            TemporalMesh(t=np.array(t))
 
     def test_levels_are_read_only(self):
         m = uniform_time_mesh(1.0, 4)

@@ -99,6 +99,17 @@ class TestNorms:
         ref_h1 = math.sqrt(h * math.fsum(float(d / h) ** 2 for d in np.diff(v)))
         assert norm_l2(v, h) == pytest.approx(ref_l2, rel=1e-13)
         assert seminorm_h1(v, h) == pytest.approx(ref_h1, rel=1e-13)
+        # A (k, M+1) stack gives one norm per row, as the 1-D call does.
+        stack = np.vstack([v, rng.standard_normal((3, M + 1))])
+        for norm in (norm_l2, seminorm_h1, norm_energy):
+            got = norm(stack, h)
+            assert got.shape == (4,)
+            for g, row in zip(got, stack):
+                assert g == pytest.approx(norm(row, h), rel=1e-15)
+        # One row whose second differences overflow: the stack still raises.
+        stack[2] = 5e150 * (-1.0) ** np.arange(M + 1)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="radicand is negative"):
+            norm_energy(stack, h)
 
     @pytest.mark.parametrize("M", [4, 16, 64])
     def test_energy_equivalent_to_h1(self, M):

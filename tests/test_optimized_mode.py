@@ -83,7 +83,7 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             """
             import numpy as np
             from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
-            mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]), T=1.0)
+            mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]))
             solve(manufactured_sin(0.5), SpatialGrid(8), mesh)
             """,
             "ValueError: kernel weight a_1 of level 2 is not positive and finite",
@@ -95,7 +95,7 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             import numpy as np
             from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
             t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
-            solve(manufactured_sin(0.5), SpatialGrid(8), TemporalMesh(t=t, T=1.0))
+            solve(manufactured_sin(0.5), SpatialGrid(8), TemporalMesh(t=t))
             """,
             "ValueError: kernel weight a_1 of level 35 is not positive and finite",
         ),
@@ -103,7 +103,7 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             """
             import numpy as np
             from fracheat import TemporalMesh
-            TemporalMesh(t=np.array([0.0, 1.0, np.inf]), T=np.inf)
+            TemporalMesh(t=np.array([0.0, 1.0, np.inf]))
             """,
             "ValueError: time level t_2=inf is not finite",
         ),

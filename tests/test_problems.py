@@ -80,35 +80,35 @@ class TestZeroProblem:
 
 class TestSineDecay:
     def test_starts_at_first_mode(self):
-        p = sine_decay(0.5, T=0.01)
+        p = sine_decay(0.5)
         x = np.linspace(0.0, 1.0, 9)
         np.testing.assert_allclose(p.exact_u(x, 0.0), np.sin(np.pi * x), rtol=1e-14)
 
     def test_amplitude_decays(self):
-        p = sine_decay(0.5, T=0.2)
+        p = sine_decay(0.5)
         vals = [float(p.exact_u(np.array([0.5]), t)[0]) for t in (0.0, 0.05, 0.2)]
         assert vals[0] > vals[1] > vals[2] > 0.0
 
     def test_forcing_is_zero(self):
-        p = sine_decay(0.25, T=0.01)
+        p = sine_decay(0.25)
         x = np.linspace(0.0, 1.0, 5)
         np.testing.assert_array_equal(p.f(x, 0.5), np.zeros(5))
         np.testing.assert_array_equal(p.exact_f_conv(x, 0.5), np.zeros(5))
 
     def test_frozen_half_order_value(self):
         # alpha = 1/2, t = 0.01: factor is E_{1/2}(-pi^2 / 10)
-        p = sine_decay(0.5, T=0.2)
+        p = sine_decay(0.5)
         got = float(p.exact_u(np.array([0.5]), 0.01)[0])
         assert got == pytest.approx(0.43117256514905254, rel=1e-12)
 
     def test_argument_envelope_enforced(self):
-        p = sine_decay(0.9, T=0.2)
+        p = sine_decay(0.9)
         with pytest.raises(SeriesConvergenceError):
             p.exact_u(np.array([0.5]), 10.0)
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_rejects_bad_time(self, t):
-        p = sine_decay(0.5, T=0.2)
+        p = sine_decay(0.5)
         with pytest.raises(ValueError, match="nonnegative and finite"):
             p.exact_u(np.array([0.5]), t)
 
@@ -118,8 +118,7 @@ class TestRegistry:
         assert set(available_problems()) == {"manufactured-sin", "zero", "sine-decay"}
 
     def test_round_trip(self):
-        p = get_problem("zero", 0.3, T=2.0)
-        assert p.label == "zero" and p.alpha == 0.3 and p.T == 2.0
+        assert get_problem("zero", 0.3).alpha == 0.3
 
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown problem"):
@@ -148,14 +147,14 @@ class TestProblemSpecValidation:
         for alpha in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 ProblemSpec(
-                    label="bad", alpha=alpha, T=1.0,
+                    alpha=alpha,
                     phi=self._zeros, f=lambda x, t: self._zeros(x),
                 )
 
     def test_rejects_nonvanishing_initial_data(self):
         with pytest.raises(ValueError, match="vanish"):
             ProblemSpec(
-                label="bad", alpha=0.5, T=1.0,
+                alpha=0.5,
                 phi=lambda x: np.cos(np.pi * np.asarray(x, dtype=float)),
                 f=lambda x, t: self._zeros(x),
             )
@@ -163,27 +162,10 @@ class TestProblemSpecValidation:
     def test_rejects_inconsistent_exact_solution(self):
         with pytest.raises(ValueError, match="t=0"):
             ProblemSpec(
-                label="bad", alpha=0.5, T=1.0,
+                alpha=0.5,
                 phi=self._zeros, f=lambda x, t: self._zeros(x),
                 exact_u=lambda x, t: np.sin(np.pi * np.asarray(x, dtype=float)),
             )
-
-    def test_rejects_nonpositive_final_time(self):
-        with pytest.raises(ValueError):
-            ProblemSpec(
-                label="bad", alpha=0.5, T=0.0,
-                phi=self._zeros, f=lambda x, t: self._zeros(x),
-            )
-
-    @pytest.mark.parametrize("T", [float("nan"), float("inf")])
-    def test_rejects_non_finite_final_time(self, T):
-        with pytest.raises(ValueError, match=f"positive and finite, got T={T}"):
-            ProblemSpec(
-                label="bad", alpha=0.5, T=T,
-                phi=self._zeros, f=lambda x, t: self._zeros(x),
-            )
-        with pytest.raises(ValueError, match=f"positive and finite, got T={T}"):
-            get_problem("manufactured-sin", 0.5, T)
 
     @pytest.mark.parametrize(
         "conv",
@@ -200,6 +182,6 @@ class TestProblemSpecValidation:
     def test_rejects_forcing_integral_without_the_column_contract(self, conv):
         with pytest.raises(ValueError, match=r"t of shape \(k, 1\).*\(k, M\+1\)"):
             ProblemSpec(
-                label="bad", alpha=0.5, T=1.0,
+                alpha=0.5,
                 phi=self._zeros, f=lambda x, t: self._zeros(x), exact_f_conv=conv,
             )

@@ -36,13 +36,12 @@ EXPECTED = {
     "solve",
     # special
     "SeriesConvergenceError",
-    "gamma",
     "mittag_leffler",
 }
 
 
 def test_all_is_the_expected_surface():
-    assert len(fracheat.__all__) == len(set(fracheat.__all__)) == 28
+    assert len(fracheat.__all__) == len(set(fracheat.__all__)) == 27
     assert set(fracheat.__all__) == EXPECTED
 
 

@@ -1,4 +1,5 @@
 import math
+from math import gamma
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from fracheat.quadrature import (
     midpoint_convolution,
     weights_row,
 )
-from fracheat.special import gamma
 from oracles import fractional_integral_monomial, fractional_integral_quad
 
 
@@ -56,7 +56,7 @@ class TestWeights:
 
     def test_weight_rounding_to_zero_raises(self):
         # At t_2 = 1 the first step of 1e-300 leaves (1 - 1e-300)**alpha = 1.
-        mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]), T=1.0)
+        mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]))
         assert weights_row(0.5, mesh, 1)[0] > 0.0
         with pytest.raises(ValueError, match="weight a_1 of level 2 is not positive"):
             weights_row(0.5, mesh, 2)
@@ -94,7 +94,7 @@ class TestWeights:
         # Steps of 1e-300 up to t_34, then t_35 = 0.5: from level 35 on,
         # every weight of those steps rounds to zero.
         t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
-        mesh = TemporalMesh(t=t, T=1.0)
+        mesh = TemporalMesh(t=t)
         assert weights_row(0.5, mesh, 1, 35).shape == (34, 34)
         with pytest.raises(ValueError, match="weight a_1 of level 35 is not positive"):
             weights_row(0.5, mesh, 33, 41)
@@ -118,7 +118,7 @@ class TestWeights:
         # The mesh of ``test_block_names_the_first_bad_weight``: from level 35
         # on, the weights of steps 1..34 round to zero.
         t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
-        mesh = TemporalMesh(t=t, T=1.0)
+        mesh = TemporalMesh(t=t)
         with pytest.raises(ValueError, match="weight a_11 of level 35 is not positive"):
             weights_row(0.5, mesh, 33, 41, 10)
         # Row 40 - 35 holds a_35..a_40 of level 40.

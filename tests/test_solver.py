@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from math import gamma
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,6 @@ from fracheat.operators import norm_energy
 from fracheat.problems import ProblemSpec, manufactured_sin, sine_decay, zero_problem
 from fracheat.quadrature import weights_row
 from fracheat.solver import SchemeKind, SolutionLattice, _denominators, _sine, solve
-from fracheat.special import gamma
 from oracles import dense_compact_matrix, dense_second_diff_matrix
 
 
@@ -96,7 +96,7 @@ def _boundary_forced(alpha):
         return np.zeros_like(x) + conv
 
     return ProblemSpec(
-        label="boundary-forced", alpha=alpha, T=1.0, phi=np.zeros_like, f=f, exact_f_conv=f_conv
+        alpha=alpha, phi=np.zeros_like, f=f, exact_f_conv=f_conv
     )
 
 
@@ -110,7 +110,7 @@ class TestBothSchemes:
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_initial_row_is_sampled_phi(self, scheme):
-        p = sine_decay(0.5, T=0.01)
+        p = sine_decay(0.5)
         grid = SpatialGrid(32)
         lattice = solve(p, grid, uniform_time_mesh(0.01, 4), scheme)
         np.testing.assert_array_equal(lattice.values[0], p.phi(grid.x))
@@ -543,7 +543,7 @@ class TestTransformedScheme:
     def test_energy_stability_without_forcing(self):
         # With f = 0 the energy norm of every level stays below the
         # initial level's.
-        p = sine_decay(0.5, T=1.0)
+        p = sine_decay(0.5)
         grid = SpatialGrid(64)
         lattice = solve(p, grid, uniform_time_mesh(1.0, 40))
         e0 = norm_energy(lattice.values[0], grid.h)
@@ -555,7 +555,7 @@ class TestTransformedScheme:
         # series solution.  On a uniform mesh the whole-lattice error is
         # dominated by the first step, where the solution's derivative
         # behaves like t**(alpha-1); the final row is far more accurate.
-        p = sine_decay(0.5, T=0.01)
+        p = sine_decay(0.5)
         grid = SpatialGrid(64)
         lattice = solve(p, grid, uniform_time_mesh(0.01, 256))
         final_err = float(
@@ -566,7 +566,7 @@ class TestTransformedScheme:
     def test_graded_mesh_controls_initial_layer(self):
         # Clustering steps near t = 0 shrinks the whole-lattice error of
         # the previous test's setup by roughly two orders of magnitude.
-        p = sine_decay(0.5, T=0.01)
+        p = sine_decay(0.5)
         grid = SpatialGrid(64)
         uniform = solve(p, grid, uniform_time_mesh(0.01, 256))
         graded = solve(p, grid, graded_time_mesh(0.01, 256, 2.0))

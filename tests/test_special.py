@@ -5,36 +5,9 @@ import pytest
 from mpmath import mp
 
 from fracheat import special
-from fracheat.special import SeriesConvergenceError, gamma, mittag_leffler
+from fracheat.special import SeriesConvergenceError, mittag_leffler
 
 mp.dps = 50
-
-
-class TestGamma:
-    def test_integer_factorials(self):
-        assert gamma(1.0) == 1.0
-        assert gamma(2.0) == 1.0
-        assert gamma(4.0) == 6.0
-
-    def test_half_integer_values(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        # frozen reference: Gamma(1.5) = sqrt(pi)/2
-        assert gamma(1.5) == pytest.approx(0.8862269254527580, rel=1e-13)
-
-    def test_against_mpmath_on_working_range(self):
-        for x in np.linspace(0.1, 10.0, 34):
-            ref = float(mp.gamma(x))
-            assert gamma(float(x)) == pytest.approx(ref, rel=1e-12)
-
-    def test_recurrence(self):
-        rng = np.random.RandomState(7)
-        for x in rng.uniform(0.05, 20.0, size=200):
-            assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
-    def test_rejects_nonpositive(self, x):
-        with pytest.raises(ValueError):
-            gamma(x)
 
 
 def _ml_reference(beta: float, z: float) -> float:
