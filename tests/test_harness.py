@@ -17,7 +17,7 @@ from fracheat.harness import (
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.operators import norm_energy, norm_l2
 from fracheat.problems import manufactured_sin
-from fracheat.solver import SolutionLattice, solve
+from fracheat.solver import SchemeKind, SolutionLattice, solve
 
 
 def _exact_lattice(problem, grid, mesh):
@@ -154,6 +154,15 @@ class TestRunSweep:
         for ra, rb in zip(a, b):
             assert (ra.alpha, ra.N, ra.E1, ra.rate) == (rb.alpha, rb.N, rb.E1, rb.rate)
 
+    @pytest.mark.parametrize("mesh_kind, grading", [("uniform", 1.0), ("graded:2", 2.0)])
+    def test_final_time_reaches_every_mesh(self, mesh_kind, grading):
+        cfg = SweepConfig(alphas=(0.5,), M=8, Ns=(4,), T=0.5, mesh_kind=mesh_kind)
+        (row,) = run_sweep(cfg).rows
+        p = manufactured_sin(0.5)
+        lattice = solve(p, SpatialGrid(8), graded_time_mesh(0.5, 4, grading))
+        assert lattice.mesh.T == 0.5
+        assert row.E1 == lattice_error(lattice, p.exact_u, "max")
+
     def test_unknown_problem_label(self):
         cfg = SweepConfig(alphas=(0.5,), M=8, Ns=(4,), problem_label="nope")
         with pytest.raises(ValueError, match="unknown problem"):
@@ -181,6 +190,23 @@ class TestReportFormats:
     def test_csv_first_row_has_empty_rate(self, report):
         first = report.to_csv().splitlines()[1]
         assert first.split(",")[6] == ""
+
+    @pytest.mark.parametrize(
+        "scheme, mesh_kind, M",
+        [
+            (SchemeKind.TRANSFORMED, "uniform", 8),
+            (SchemeKind.L1, "uniform", 16),
+            (SchemeKind.TRANSFORMED, "graded:2", 32),
+        ],
+    )
+    def test_csv_identity_columns_come_from_config(self, scheme, mesh_kind, M):
+        cfg = SweepConfig(alphas=(0.5, 0.25), M=M, Ns=(4, 8), scheme=scheme, mesh_kind=mesh_kind)
+        rows = (ReportRow(0.5, 4, 1e-3, None, 0.1), ReportRow(0.25, 8, 2e-4, 2.0, 0.2))
+        lines = ConvergenceReport(config=cfg, rows=rows).to_csv().splitlines()[1:]
+        assert [line.split(",")[:5] for line in lines] == [
+            ["0.5", scheme.value, mesh_kind, str(M), "4"],
+            ["0.25", scheme.value, mesh_kind, str(M), "8"],
+        ]
 
     def test_csv_ends_with_newline(self, report):
         assert report.to_csv().endswith("\n")

@@ -35,6 +35,7 @@ class TestUniformMesh:
     def test_final_level_hits_T_exactly(self, T, N):
         m = uniform_time_mesh(T, N)
         assert m.t[-1] == T
+        assert m.T == T
         assert m.t[0] == 0.0
 
     def test_large_N(self):
@@ -103,11 +104,24 @@ class TestTemporalMeshValidation:
         with pytest.raises(ValueError):
             TemporalMesh(t=np.array([0.0, 0.5, 0.5, 1.0]))
 
+    def test_must_end_at_T(self):
+        # The final time is the last level, so no mesh can end elsewhere.
+        m = TemporalMesh(t=np.array([0.0, 0.5, 0.9]))
+        assert m.T == 0.9 and type(m.T) is float
+
+    def test_final_time_is_read_only(self):
+        m = uniform_time_mesh(1.0, 4)
+        with pytest.raises(AttributeError):
+            m.T = 2.0
+
     @pytest.mark.parametrize(
         "t, cause",
         [
             ([0.0, 1.0, np.inf], r"time level t_2=inf is not finite"),
             ([0.0, np.nan, 1.0], r"time level t_1=nan is not finite"),
+            # A non-finite final time is a non-finite last level.
+            ([0.0, 0.5, np.nan], r"time level t_2=nan is not finite"),
+            ([0.0, 0.5, -np.inf], r"time level t_2=-inf is not finite"),
         ],
     )
     def test_rejects_non_finite(self, t, cause):

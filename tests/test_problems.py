@@ -120,6 +120,14 @@ class TestRegistry:
     def test_round_trip(self):
         assert get_problem("zero", 0.3).alpha == 0.3
 
+    @pytest.mark.parametrize("label", ["manufactured-sin", "zero", "sine-decay"])
+    def test_every_label_builds_from_alpha_alone(self, label):
+        # The final time belongs to the mesh, so alpha fixes the problem.
+        p = get_problem(label, 0.4)
+        x = np.linspace(0.0, 1.0, 5)
+        assert p.alpha == 0.4
+        np.testing.assert_array_equal(p.exact_u(x, 0.0), p.phi(x))
+
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown problem"):
             get_problem("does-not-exist", 0.5)

@@ -122,6 +122,19 @@ class TestBothSchemes:
         assert np.all(lattice.values[1:, 0] == 0.0)
         assert np.all(lattice.values[1:, -1] == 0.0)
 
+    @pytest.mark.parametrize("T", [0.25, 2.0])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_final_time_is_the_mesh_s(self, scheme, T):
+        # The problem carries no final time: the last row must approximate
+        # u(x, T) at the T of the mesh it was solved on.
+        p = manufactured_sin(0.5)
+        grid = SpatialGrid(32)
+        lattice = solve(p, grid, uniform_time_mesh(T, 64), scheme)
+        assert lattice.mesh.T == T
+        exact = p.exact_u(grid.x, T)
+        err = np.max(np.abs(lattice.values[-1] - exact)) / np.max(np.abs(exact))
+        assert err < 2e-3
+
     @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_deterministic(self, scheme):
         p = manufactured_sin(0.75)
