@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .meshes import SpatialGrid, graded_time_mesh
+from .meshes import SpatialGrid, _check_grading, graded_time_mesh
 from .operators import norm_energy, norm_l2
 from .problems import get_problem
 from .solver import SchemeKind, SolutionLattice, solve
@@ -119,8 +119,7 @@ def parse_mesh_kind(mesh_kind: str) -> float:
             r = float(mesh_kind.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad grading exponent in {mesh_kind!r}") from None
-        if not 1.0 <= r < np.inf:
-            raise ValueError(f"grading exponent must be finite and >= 1, got {r}")
+        _check_grading(r)
         return r
     raise ValueError(f"unknown mesh kind {mesh_kind!r} (use uniform or graded:<r>)")
 

@@ -91,6 +91,11 @@ def uniform_time_mesh(T: float, N: int) -> TemporalMesh:
     return TemporalMesh(t=T * _unit_levels(T, N))
 
 
+def _check_grading(r: float) -> None:
+    if not 1.0 <= r < np.inf:
+        raise ValueError(f"grading exponent must be finite and satisfy r >= 1, got r={r}")
+
+
 def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
     """Graded mesh t_n = T*(n/N)**r clustering levels near t = 0.
 
@@ -98,8 +103,7 @@ def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
     bit for bit.  r > 1 compresses early steps to compensate the kernel
     singularity; r < 1 is rejected because it would do the opposite.
     """
-    if not 1.0 <= r < np.inf:
-        raise ValueError(f"grading exponent must be finite and satisfy r >= 1, got r={r}")
+    _check_grading(r)
     if r == 1.0:
         return uniform_time_mesh(T, N)
     return TemporalMesh(t=T * _unit_levels(T, N) ** r)

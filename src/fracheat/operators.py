@@ -75,9 +75,9 @@ def norm_energy(v: np.ndarray, h: float) -> float | np.ndarray:
 
     Defined by  |v|_E**2 = |grad v|**2 - (h**2/12) * h * sum (d2 v_i)**2
     where |grad v| is ``seminorm_h1`` and d2 the centered second difference.
-    The subtraction keeps at least two thirds of the seminorm for functions
-    vanishing at the boundary, so the radicand is nonnegative up to
-    rounding; a radicand below -1e-12 relative to the seminorm squared is
+    As (a - b)**2 <= 2 a**2 + 2 b**2, the subtraction keeps at least two
+    thirds of the seminorm squared for every grid function, so a radicand
+    below -1e-12 relative to it can only come from overflow; that is
     reported as an error instead of silently clamped.
     """
     semi2 = h * np.sum((np.diff(v) / h) ** 2, axis=-1)

@@ -8,12 +8,14 @@ A ``ProblemSpec`` bundles the data of one initial-boundary value problem
 with the Caputo derivative of order alpha in (0, 1).  Problems that know
 their exact solution also carry it (the sine decay's is a Mittag-Leffler
 function of t**alpha), along with the closed-form fractional integral of
-their forcing when one exists; the time stepper uses the latter to avoid
-an avoidable layer of quadrature error.
+their forcing when one exists, which the time stepper uses in place of
+product quadrature because the golden table pins it; on ``manufactured-sin``
+quadrature forcing is 2 to 12 times more accurate (alpha 0.25 to 0.9).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -32,6 +34,20 @@ __all__ = [
 ]
 
 SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
+
+
+# sin(pi x) of the last 8 distinct grids, shared read-only.  The key is the
+# values of x, not the array, whose owner may change it in place.
+@functools.lru_cache(maxsize=8)
+def _sin_pi_of(key: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    profile = np.sin(np.pi * np.frombuffer(key)).reshape(shape)
+    profile.flags.writeable = False
+    return profile
+
+
+def _sin_pi(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return _sin_pi_of(x.tobytes(), x.shape)
 
 
 def _zeros(x: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -53,6 +69,9 @@ class ProblemSpec:
     one call per block of k levels, and the result must broadcast to
     (k, M+1), row i holding the integral at t[i].  Construction checks
     that shape, not the values, with five nodes and a column of two times.
+
+    The built-in problems compute sin(pi x) once per grid, not per call;
+    each call still returns a fresh array, under the same protocol.
     """
 
     alpha: float
@@ -99,15 +118,13 @@ def manufactured_sin(alpha: float) -> ProblemSpec:
     g3p = math.gamma(3.0 + alpha)
 
     def f(x: np.ndarray, t: float) -> np.ndarray:
-        return np.sin(np.pi * x) * (np.pi**2 * t**2 + 2.0 * t ** (2.0 - alpha) / g3m)
+        return _sin_pi(x) * (np.pi**2 * t**2 + 2.0 * t ** (2.0 - alpha) / g3m)
 
     def exact_u(x: np.ndarray, t: float) -> np.ndarray:
-        return np.sin(np.pi * x) * t**2
+        return _sin_pi(x) * t**2
 
     def exact_f_conv(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return np.sin(np.pi * x) * (
-            2.0 * np.pi**2 * t ** (2.0 + alpha) / g3p + t**2
-        )
+        return _sin_pi(x) * (2.0 * np.pi**2 * t ** (2.0 + alpha) / g3p + t**2)
 
     return ProblemSpec(
         alpha=alpha,
@@ -137,12 +154,12 @@ def sine_decay(alpha: float) -> ProblemSpec:
     """
 
     def phi(x: np.ndarray) -> np.ndarray:
-        return np.sin(np.pi * np.asarray(x, dtype=float))
+        return _sin_pi(x).copy()
 
     def exact_u(x: np.ndarray, t: float) -> np.ndarray:
         if not 0.0 <= t < np.inf:
             raise ValueError(f"time must be nonnegative and finite, got t={t}")
-        return mittag_leffler(alpha, -(np.pi**2) * t**alpha) * phi(x)
+        return mittag_leffler(alpha, -(np.pi**2) * t**alpha) * _sin_pi(x)
 
     return ProblemSpec(
         alpha=alpha,

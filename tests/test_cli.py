@@ -269,6 +269,10 @@ class TestRun:
         assert "x" in _lines(capsys)[0]
 
 
+# The one message of the grading-exponent check that ``meshes`` owns.
+_GRADING_MESSAGE = "grading exponent must be finite and satisfy r >= 1, got r="
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -308,8 +312,9 @@ class TestUsageErrors:
         [
             ("--final-time", "nan", "final time must be positive and finite, got nan"),
             ("--final-time", "inf", "final time must be positive and finite, got inf"),
-            ("--mesh", "graded:nan", "grading exponent must be finite and >= 1, got nan"),
-            ("--mesh", "graded:inf", "grading exponent must be finite and >= 1, got inf"),
+            ("--mesh", "graded:nan", _GRADING_MESSAGE + "nan"),
+            ("--mesh", "graded:inf", _GRADING_MESSAGE + "inf"),
+            ("--mesh", "graded:0.5", _GRADING_MESSAGE + "0.5"),
             ("--time-steps", "0,4", "time-step counts must be >= 1, got '0,4'"),
             ("--alpha", "0.5,0.5", "repeated alpha in '0.5,0.5'"),
         ],

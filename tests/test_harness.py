@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import fracheat.harness
 from fracheat.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -97,6 +98,31 @@ class TestLatticeError:
 
         with pytest.raises(ValueError, match=r"level 8 \(t = 1\) is not finite"):
             lattice_error(lattice, exact, norm)
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("norm", [None, "max", "l2", "a"])
+    def test_exact_u_gets_a_python_float_once_per_level_in_increasing_t(
+        self, monkeypatch, norm, grading
+    ):
+        # The benchmark's tracer counts one exact_u call per level, so error
+        # scoring keeps scalar times, across blocks of 3 rows.  norm None is
+        # max_lattice_error.
+        p = manufactured_sin(0.5)
+        grid, mesh = SpatialGrid(8), graded_time_mesh(1.0, 10, grading)
+        monkeypatch.setattr(fracheat.harness, "_SCORE_BYTES", 3 * 8 * (grid.M + 1))
+        lattice = solve(p, grid, mesh)
+        times = []
+
+        def exact(x, t):
+            times.append(t)
+            return p.exact_u(x, t)
+
+        if norm is None:
+            max_lattice_error(lattice, exact)
+        else:
+            lattice_error(lattice, exact, norm)
+        assert all(type(t) is float for t in times)
+        assert times == mesh.t.tolist()
 
 
 class TestMeshKindParsing:

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import fracheat.problems
+from fracheat.harness import max_lattice_error
+from fracheat.meshes import SpatialGrid, uniform_time_mesh
 from fracheat.problems import (
     ProblemSpec,
     available_problems,
@@ -11,7 +15,8 @@ from fracheat.problems import (
     sine_decay,
     zero_problem,
 )
-from fracheat.special import SeriesConvergenceError
+from fracheat.solver import SchemeKind, solve
+from fracheat.special import SeriesConvergenceError, mittag_leffler
 from oracles import fractional_integral_monomial, fractional_integral_quad
 
 ALPHAS = (0.25, 0.5, 0.75)
@@ -144,6 +149,111 @@ def test_closed_form_forcing_integral_takes_a_column_of_t(label, alpha):
     assert np.shape(block) == (7, 9)
     rows = np.array([p.exact_f_conv(x, tk) for tk in t.tolist()])
     np.testing.assert_array_max_ulp(block, rows, maxulp=4)
+
+
+def _uncached(label, alpha):
+    """The built-in callables as written before the profile cache: each
+    call evaluates sin(pi x) afresh.  The reference for bit identity."""
+
+    def sin_pi(x):
+        return np.sin(np.pi * np.asarray(x, dtype=float))
+
+    if label == "sine-decay":
+        return {
+            "phi": sin_pi,
+            "exact_u": lambda x, t: mittag_leffler(alpha, -(np.pi**2) * t**alpha) * sin_pi(x),
+        }
+    g3m, g3p = math.gamma(3.0 - alpha), math.gamma(3.0 + alpha)
+    return {
+        "f": lambda x, t: sin_pi(x) * (np.pi**2 * t**2 + 2.0 * t ** (2.0 - alpha) / g3m),
+        "exact_u": lambda x, t: sin_pi(x) * t**2,
+        "exact_f_conv": lambda x, t: sin_pi(x) * (
+            2.0 * np.pi**2 * t ** (2.0 + alpha) / g3p + t**2
+        ),
+    }
+
+
+def _calls(label, alpha):
+    """(name, callable, uncached reference, times) for each cached callable."""
+    p, ref = get_problem(label, alpha), _uncached(label, alpha)
+    times = [0.0, 1e-4, 1e-3] if label == "sine-decay" else [0.0, 0.3, 1.0]
+    for name, want in ref.items():
+        got = getattr(p, name)
+        if name == "phi":
+            yield name, lambda x, t, fn=got: fn(x), lambda x, t, fn=want: fn(x), [None]
+        else:
+            column = [np.array(times)[:, None]] if name == "exact_f_conv" else []
+            yield name, got, want, times + column
+
+
+def _same_bits(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+_GRIDS = {
+    **{f"M={M}": np.linspace(0.0, 1.0, M + 1) for M in (2, 3, 7, 100, 2000)},
+    "strided": np.linspace(0.0, 1.0, 2 * 50 + 1)[::2],
+    "list": np.linspace(0.0, 1.0, 8).tolist(),
+}
+_CACHED_LABELS = ("manufactured-sin", "sine-decay")
+
+
+class TestSpatialProfileCache:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("grid", _GRIDS)
+    @pytest.mark.parametrize("label", _CACHED_LABELS)
+    def test_bit_identical_to_the_uncached_expressions(self, label, grid, alpha):
+        # Sign of zeros included: the bytes are compared, not the values.
+        x = _GRIDS[grid]
+        for name, got, want, times in _calls(label, alpha):
+            for t in times:
+                assert _same_bits(got(x, t), want(x, t)), (name, t)
+
+    @pytest.mark.parametrize("label", _CACHED_LABELS)
+    def test_a_grid_changed_in_place_gets_its_new_profile(self, label):
+        for name, got, want, times in _calls(label, 0.5):
+            x = np.linspace(0.0, 1.0, 9)
+            got(x, times[-1])
+            x[3] = 0.123
+            assert _same_bits(got(x, times[-1]), want(x, times[-1])), name
+
+    @pytest.mark.parametrize("label", _CACHED_LABELS)
+    def test_each_result_is_fresh_and_writable(self, label):
+        x = np.linspace(0.0, 1.0, 9)
+        for name, got, want, times in _calls(label, 0.5):
+            first, second = got(x, times[-1]), got(x, times[-1])
+            assert first.flags.writeable and not np.shares_memory(first, second), name
+            first[...] = 7.0
+            assert _same_bits(got(x, times[-1]), want(x, times[-1])), name
+
+    @pytest.mark.parametrize(
+        "label, scheme, closed_form",
+        [
+            ("manufactured-sin", SchemeKind.TRANSFORMED, True),
+            ("manufactured-sin", SchemeKind.TRANSFORMED, False),
+            ("manufactured-sin", SchemeKind.L1, True),
+            ("sine-decay", SchemeKind.TRANSFORMED, True),
+        ],
+    )
+    def test_a_solve_and_its_error_evaluate_sin_once(
+        self, monkeypatch, label, scheme, closed_form
+    ):
+        # Counted through np.sin itself, on arguments equal to pi x.
+        grid, mesh = SpatialGrid(16), uniform_time_mesh(0.01, 40)
+        p = get_problem(label, 0.5)
+        if not closed_form:
+            p = dataclasses.replace(p, exact_f_conv=None)
+        fracheat.problems._sin_pi_of.cache_clear()
+        sin, profiles = np.sin, []
+
+        def counted(v, *args, **kwargs):
+            if np.shape(v) == grid.x.shape and np.array_equal(v, np.pi * grid.x):
+                profiles.append(v)
+            return sin(v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted)
+        max_lattice_error(solve(p, grid, mesh, scheme), p.exact_u)
+        assert len(profiles) == 1
 
 
 class TestProblemSpecValidation:
