@@ -27,11 +27,12 @@ with no forcing call and no transform.
 The history of a level is one weighted sum over one source: u, or z with
 quadrature forcing (see below).  Its weights come in two parts.  The rows
 of the W = ``_WINDOW`` levels before a block of ``_BLOCK`` levels, and the
-block's own rows, get their exact weights: on a uniform mesh (steps equal
-to 1e-12 relative) every weight of either scheme depends only on the lag
-n - j, so one kernel row serves the whole solve; on a graded mesh one
-``weights_row`` block per block of levels holds them.  Every older row
-reaches level n through a sum of exponentials.  Its weights are integrals
+block's own rows, get their exact weights: on a uniform mesh (steps
+equal to the rounding of the levels) every weight of either scheme
+depends only on the lag n - j, so one kernel row serves the whole solve;
+on a graded mesh one ``weights_row`` block per block of levels holds
+them.  Every older row reaches level n through a sum of exponentials.
+Its weights are integrals
 of a kernel that is smooth at lags past the window, t**(alpha-1) for the
 transformed scheme and, in units of the step, t**(-1-alpha) for L1, and
 ``_exp_sum`` fits that kernel by sum_l w_l exp(-s_l t) to about 1e-13
@@ -43,8 +44,21 @@ states decay to the next window start and absorb the rows that leave the
 window.  A block then costs three matrix products (window rows, states,
 absorption) and the solve O(M N (W + N_exp)), with N_exp about 80 to
 250 terms, on either mesh; solves of at most W levels build no states.
-The levels of a block are solved in turn, each adding the rows solved
-before it in the block, so no level reads a later one.  The schemes are:
+
+Within a block, level i still needs the block's earlier levels: per mode
+m, u_i = c_i + f_m sum_{j<i} lag_{i-j} u_j, with f_m = gain_m / den_m.
+On a uniform mesh that system is the same lower-triangular Toeplitz one
+in every block, so its inverse, G_0 = 1 and G_d = f_m sum_{k=1..d} lag_k
+G_{d-k}, is built once per solve for leaves of ``_LEAF`` levels.  A block
+is then solved a leaf at a time: one product adds the earlier leaves'
+rows and one batched product applies the inverse.  Graded meshes, whose
+system changes from block to block, wide grids (M > 255), where the
+inverse outgrows ``_CHUNK_BYTES`` (and by M = 2000 its per-mode products
+are slower than the loop's row products), and blocks whose right-hand
+side is not finite (the inverse's zeros would carry a NaN into earlier
+levels) are solved level by level instead, each level adding the rows
+solved before it in the block.  Either way no level reads a later one.
+The schemes are:
 
 * ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
   the problem with the exact kernel step weights a_1..a_n of level n
@@ -104,8 +118,15 @@ __all__ = ["SchemeKind", "SolutionLattice", "solve"]
 # exact weights they replace on short, wide solves.
 _WINDOW = 128
 # Levels per block of the march: one matrix product adds the history from
-# before the block to all of its levels.
+# before the block to all of its levels, which are then solved a leaf at a
+# time on a uniform mesh and one at a time otherwise (see the module
+# docstring).
 _BLOCK = 32
+# Levels per leaf of a block on a uniform mesh, which the per-mode inverse
+# solves at once.  The inverse holds (M + 1) * _LEAF**2 doubles and is used
+# only while that fits in ``_CHUNK_BYTES`` (M <= 255); at 32 levels it
+# would outgrow the working memory ``solve`` is allowed.
+_LEAF = 16
 # Working memory of one block of rows of the forcing transform or of the
 # final sine transform, in bytes.
 _CHUNK_BYTES = 512 * 1024
@@ -182,10 +203,41 @@ def _denominators(p: float, r: float, h: float, s: np.ndarray) -> np.ndarray:
     return den
 
 
-def _is_uniform(mesh: TemporalMesh) -> bool:
-    """Whether all steps agree to rounding: max - min <= 1e-12 * mean."""
-    steps = mesh.steps
-    return bool(steps.max() - steps.min() <= 1e-12 * steps.mean())
+def _is_uniform(t: np.ndarray) -> bool:
+    """Whether all steps of the levels ``t`` agree to the rounding of ``t``.
+
+    A level T * (n / N) is within 1.5 ulps of T of its exact value (the
+    quotient's relative error times T, then half an ulp of the product),
+    and neighbouring levels subtract exactly, so the steps of a uniform
+    mesh spread by at most 6 ulps of T.  A tolerance relative to the step
+    would reject uniform meshes from N = 3,604 on at T = 0.2.
+    """
+    steps = np.diff(t)
+    return bool(steps.max() - steps.min() <= 8.0 * np.spacing(t[-1]))
+
+
+def _leaf_inverse(lag: np.ndarray, f: np.ndarray, size: int) -> np.ndarray:
+    """Per-mode inverses of u_i - f sum_{j<i} lag[i-j] u_j = c_i, i < ``size``.
+
+    Each is lower-triangular Toeplitz, G_0 = 1 and G_d = f sum_{k=1..d}
+    lag[k] G_{d-k}.  Entry [m, j, i] of the result is G_{i-j} of mode m
+    for i >= j and 0 otherwise, so that a row c of levels solves as
+    c @ result[m].  Entries 0 and M, whose coefficients are 0 and whose
+    denominators are a placeholder 1, get f = 0: their G would grow like
+    (f lag[1])**d, and 0 times an overflowed G is NaN.
+    """
+    f = f.copy()
+    f[[0, -1]] = 0.0
+    # Row size - 1 + d holds G_d after size - 1 rows of zeros, so row
+    # size - 1 + i - j holds entry [j, i].
+    g = np.zeros((2 * size - 1, f.size))
+    g[size - 1] = 1.0
+    for d in range(1, size):
+        row = g[size - 1 + d]
+        np.dot(lag[d:0:-1], g[size - 1 : size - 1 + d], out=row)
+        row *= f
+    i = np.arange(size)
+    return np.take(np.ascontiguousarray(g.T), size - 1 + i - i[:, None], axis=1)
 
 
 def _decay(rate: np.ndarray, dt) -> np.ndarray:
@@ -207,6 +259,10 @@ def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) 
     dst += part
 
 
+# A level that overflows or turns NaN is reported by name below, so numpy's
+# warnings about it (from the forcing, the products or the transforms)
+# would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     problem: ProblemSpec,
     grid: SpatialGrid,
@@ -228,7 +284,7 @@ def solve(
     u = np.zeros((N + 1, M + 1))
     u[0] = _sine(phi)
     l1 = scheme is SchemeKind.L1
-    uniform = _is_uniform(mesh)
+    uniform = _is_uniform(mesh.t)
     if l1 and not uniform:
         raise ValueError("the L1 scheme requires a uniform time mesh")
     if uniform:
@@ -282,9 +338,13 @@ def solve(
         block[:] = _sine(apply_compact(block))
     if z is not None:
         z[0] += gain * u[0]
+    inverse = None
     if uniform:
         # Level n solves (rhs + scale T^n) / den: ``factor`` = scale / den.
         factor = np.broadcast_to(scale / den, (_BLOCK, M + 1))
+        if (M + 1) * _LEAF * _LEAF * 8 <= _CHUNK_BYTES:
+            leaf = min(_LEAF, _BLOCK, N)
+            inverse = _leaf_inverse(lag, gain / den, leaf)
         den = np.broadcast_to(den, (_BLOCK, M + 1))
 
     # The history of rows j0..ref-1 is in ``states``, referenced to t_ref:
@@ -349,11 +409,26 @@ def solve(
             # Each level's own forcing sample, weighed by r = a_n / 2.
             u[b:e] += r * z[b:e]
         u[b:e] /= den[: e - b]
-        for i, n in enumerate(range(b, e)):
-            if i:
-                u[n] += factor[i] * (w[i, b - lo : n - lo] @ src[b:n])
-            if z is not None:
-                z[n] += gain * u[n]
+        if inverse is not None and np.isfinite(u[b:e]).all():
+            for c in range(b, e, leaf):
+                d = min(c + leaf, e)
+                # The block's rows before the leaf, solved, and with
+                # quadrature forcing also the leaf's own z rows, which
+                # still hold F_j.
+                hi = c if z is None else d
+                if hi > b:
+                    _add_products(
+                        u[c:d], w[c - b : d - b, b - lo : hi - lo], src[b:hi], factor[c - b : d - b]
+                    )
+                u[c:d] = np.matmul(u[c:d].T[:, None, :], inverse[:, : d - c, : d - c])[:, 0].T
+                if z is not None:
+                    z[c:d] += gain * u[c:d]
+        else:
+            for i, n in enumerate(range(b, e)):
+                if i:
+                    u[n] += factor[i] * (w[i, b - lo : n - lo] @ src[b:n])
+                if z is not None:
+                    z[n] += gain * u[n]
         out = e - _WINDOW
         if states is not None and out > j0 and e <= N:
             # Rows ref..out-1 leave the window: the states decay to t_out

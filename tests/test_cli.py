@@ -1,3 +1,7 @@
+import os
+from pathlib import Path
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -267,6 +271,25 @@ class TestRun:
         ])
         assert rc == 0
         assert "x" in _lines(capsys)[0]
+
+    def test_overflowing_solve_prints_only_its_error(self):
+        # At T = 1e300 the forcing overflows from level 1 on.  Its own
+        # RuntimeWarnings, numpy's from the transforms and the report of
+        # the first bad level used to reach stderr together; warnings are
+        # shown once per place by default, so a fresh interpreter runs it.
+        src = Path(fracheat.cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracheat.cli", "run", "--alpha", "0.5",
+             "--time-steps", "100", "--spatial-cells", "4", "--final-time", "1e300"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "fracheat: error: solution level 1 (t = 1e+298) is not finite: the forcing "
+            "or the initial data is not finite, or too large, up to that time\n"
+        )
 
 
 # The one message of the grading-exponent check that ``meshes`` owns.

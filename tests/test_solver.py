@@ -12,7 +12,15 @@ from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.operators import norm_energy
 from fracheat.problems import ProblemSpec, manufactured_sin, sine_decay, zero_problem
 from fracheat.quadrature import weights_row
-from fracheat.solver import SchemeKind, SolutionLattice, _denominators, _sine, solve
+from fracheat.solver import (
+    SchemeKind,
+    SolutionLattice,
+    _denominators,
+    _is_uniform,
+    _leaf_inverse,
+    _sine,
+    solve,
+)
 from oracles import dense_compact_matrix, dense_second_diff_matrix
 
 
@@ -192,13 +200,50 @@ class TestBothSchemes:
         # Windows of 4 levels and forcing blocks of one row, so rows more
         # than 4 levels before a block reach it through the states, which
         # absorb 2 or 3 rows per block.  The last block is cut off by N; one
-        # of 32 holds the whole march and builds no states.
+        # of 32 holds the whole march and builds no states.  No leaf inverse
+        # fits in one byte, so each block is solved level by level.
         monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 1)
         p = _oracle_problem(problem, closed_form)
         M, mesh = 8, uniform_time_mesh(1.0, N)
         got = solve(p, SpatialGrid(M), mesh, scheme).values
+        np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("block, leaf", [(3, 1), (3, 2), (7, 3), (32, 16)])
+    @pytest.mark.parametrize("N", [13, 27])
+    @pytest.mark.parametrize(
+        "scheme, problem, closed_form",
+        [
+            (SchemeKind.TRANSFORMED, "forced-sine", True),
+            (SchemeKind.TRANSFORMED, "boundary-forced-sine", True),
+            (SchemeKind.TRANSFORMED, "boundary-forced-sine", False),
+            (SchemeKind.L1, "forced-sine", True),
+            (SchemeKind.L1, "boundary-forced", True),
+        ],
+    )
+    def test_leaf_march_matches_dense_oracle(
+        self, monkeypatch, scheme, problem, closed_form, N, block, leaf
+    ):
+        # Windows of 4 levels, so the states hold the older rows, and
+        # blocks solved a leaf at a time: one leaf of 1 level per level,
+        # leaves of 2 or 3 that the block or N cuts short, and the default
+        # sizes, whose one block holds the whole march.
+        monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
+        monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
+        monkeypatch.setattr(fracheat.solver, "_LEAF", leaf)
+        sizes = []
+        inverse = fracheat.solver._leaf_inverse
+
+        def recorded(lag, f, size):
+            sizes.append(size)
+            return inverse(lag, f, size)
+
+        monkeypatch.setattr(fracheat.solver, "_leaf_inverse", recorded)
+        p = _oracle_problem(problem, closed_form)
+        M, mesh = 8, uniform_time_mesh(1.0, N)
+        got = solve(p, SpatialGrid(M), mesh, scheme).values
+        assert sizes == [min(leaf, block, N)]
         np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("block", [1, 3, 5, 32])
@@ -296,6 +341,9 @@ class TestBothSchemes:
             # Level 13 is inside the block [13, 16); the states hold the
             # rows before level 5 by then.
             (40, 13, 8, 3),
+            # Level 45 is inside the second leaf of the block [33, 65); on
+            # a uniform mesh the block [1, 33) was solved by leaf inverse.
+            (80, 45, None, None),
         ],
     )
     def test_non_finite_forcing_names_the_first_bad_level(
@@ -463,6 +511,162 @@ class TestForcingBlocks:
         finally:
             tracemalloc.stop()
         assert peak < lattices + 2 * fracheat.solver._CHUNK_BYTES
+
+
+def _random_problem(alpha, M, closed_form, seed):
+    """phi and f with random coefficients on every sine mode of the grid.
+
+    f = a(x) + t b(x), with a and b also 1 and -1 at both ends, so that
+    its fractional integral is a t**alpha / Gamma(1 + alpha)
+    + b t**(1 + alpha) / Gamma(2 + alpha); it is dropped unless
+    ``closed_form``.
+    """
+    coef = np.random.default_rng(seed).standard_normal((3, M - 1))
+    modes = np.arange(1, M)
+
+    def series(x, k):
+        return np.sin(np.pi * np.multiply.outer(x, modes)) @ coef[k]
+
+    def f(x, t):
+        return series(x, 1) + 1.0 + t * (series(x, 2) - 1.0)
+
+    def f_conv(x, t):
+        return (series(x, 1) + 1.0) * t**alpha / gamma(1.0 + alpha) + (
+            series(x, 2) - 1.0
+        ) * t ** (1.0 + alpha) / gamma(2.0 + alpha)
+
+    return ProblemSpec(
+        alpha=alpha,
+        phi=lambda x: series(x, 0),
+        f=f,
+        exact_f_conv=f_conv if closed_form else None,
+    )
+
+
+def _by_leaves_and_by_levels(monkeypatch, problem, M, mesh, scheme):
+    """The lattices of the two in-block paths.
+
+    The first must build one leaf inverse and apply it once per leaf of
+    every block (``np.matmul`` runs nowhere else in ``solve``), the second
+    none: a leaf of 2**20 levels outgrows ``_CHUNK_BYTES``, which forces
+    the level-by-level path.
+    """
+    sizes, applied = [], []
+    inverse, matmul = fracheat.solver._leaf_inverse, np.matmul
+
+    def recorded(lag, f, size):
+        sizes.append(size)
+        return inverse(lag, f, size)
+
+    def counted(*args):
+        applied.append(None)
+        return matmul(*args)
+
+    monkeypatch.setattr(fracheat.solver, "_leaf_inverse", recorded)
+    monkeypatch.setattr(np, "matmul", counted)
+    N, block = mesh.N, fracheat.solver._BLOCK
+    leaf = min(fracheat.solver._LEAF, block, N)
+    leaves = solve(problem, SpatialGrid(M), mesh, scheme).values
+    assert sizes == [leaf]
+    assert len(applied) == sum(-(-min(block, N + 1 - b) // leaf) for b in range(1, N + 1, block))
+    with monkeypatch.context() as patch:
+        patch.setattr(fracheat.solver, "_LEAF", 1 << 20)
+        del sizes[:], applied[:]
+        levels = solve(problem, SpatialGrid(M), mesh, scheme).values
+    assert sizes == applied == []
+    return leaves, levels
+
+
+class TestInBlockPaths:
+    """Uniform blocks solved by leaf inverse agree with level by level."""
+
+    @pytest.mark.parametrize("M", [2, 8, 100])
+    @pytest.mark.parametrize("N", [1, 5, 16, 17, 40, 300])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
+    def test_leaf_inverse_agrees_with_the_level_loop(
+        self, monkeypatch, scheme, closed_form, alpha, N, M
+    ):
+        # N below a leaf, one full leaf, a leaf and one level, a full block
+        # and a partial one, and past the window, where the states start.
+        p = _random_problem(alpha, M, closed_form, seed=N * M)
+        leaves, levels = _by_leaves_and_by_levels(
+            monkeypatch, p, M, uniform_time_mesh(1.0, N), scheme
+        )
+        assert np.max(np.abs(leaves - levels)) <= 1e-12 * np.max(np.abs(levels))
+
+    def test_l1_with_a_large_lambda_stays_finite(self, monkeypatch):
+        # lambda = 1 / (Gamma(1.01) tau**0.99) is about 1.8e4, and about
+        # 1.2e24 at T = 1e-20: there entry M's gain lambda * 2/3 over its
+        # placeholder denominator 1 would overflow G from level 13 of a
+        # leaf on, and the NaN of 0 times that would send every later
+        # block down the level-by-level path.
+        for T in (1.0, 1e-20):
+            leaves, levels = _by_leaves_and_by_levels(
+                monkeypatch, manufactured_sin(0.99), 8, uniform_time_mesh(T, 20_000), SchemeKind.L1
+            )
+            assert np.isfinite(leaves).all()
+            assert np.max(np.abs(leaves - levels)) <= 1e-12 * np.max(np.abs(levels))
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 16])
+    def test_leaf_inverse_inverts_each_mode_s_leaf_system(self, size):
+        # Row j of entry m holds G_{i-j} at column i, so entry m transposed
+        # is the inverse of I - f_m L, with L[i, j] = lag[i - j] for i > j.
+        rng = np.random.default_rng(size)
+        lag = np.concatenate(([0.0], rng.random(size)))
+        f = 0.5 * rng.standard_normal(9)
+        # Gains of the boundary entries that would overflow G.
+        f[[0, -1]] = 1e300
+        got = _leaf_inverse(lag, f, size)
+        assert got.shape == (9, size, size) and got.flags.c_contiguous
+        k = np.arange(size)
+        L = np.where(k[:, None] > k, lag[np.abs(k[:, None] - k)], 0.0)
+        for m in range(1, 8):
+            expected = np.linalg.inv(np.eye(size) - f[m] * L)
+            np.testing.assert_allclose(got[m].T, expected, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(got[[0, -1]], np.broadcast_to(np.eye(size), (2, size, size)))
+
+
+class TestUniformMeshTest:
+    @pytest.mark.parametrize("T", [0.2, 1.0, 3.0])
+    def test_every_uniform_mesh_up_to_50000_steps_is_uniform(self, T):
+        # The levels as ``uniform_time_mesh`` computes them, T * (n / N),
+        # in one buffer; a tolerance of 1e-12 of the step rejected 45,269
+        # of these N at T = 0.2, from N = 3,604 on.
+        n = np.arange(50_001, dtype=float)
+        buf = np.empty_like(n)
+        rejected = [
+            N
+            for N in range(1, 50_001)
+            if not _is_uniform(np.multiply(np.divide(n[: N + 1], N, out=buf[: N + 1]), T, out=buf[: N + 1]))
+        ]
+        assert rejected == []
+        for N in (1, 3_604, 50_000):
+            assert np.array_equal(uniform_time_mesh(T, N).t, T * (n[: N + 1] / N))
+
+    @pytest.mark.parametrize("T", [0.2, 1.0, 3.0])
+    @pytest.mark.parametrize("N", [2, 100, 50_000])
+    def test_a_barely_graded_mesh_is_not_uniform(self, T, N):
+        assert not _is_uniform(graded_time_mesh(T, N, 1.000001).t)
+
+    @pytest.mark.parametrize("T, N", [(0.2, 3_604), (1.0, 9_008), (3.0, 3_380)])
+    def test_meshes_the_relative_test_rejected_solve_as_uniform(self, monkeypatch, T, N):
+        # The first N the old tolerance rejected at each T: L1 now accepts
+        # the mesh, and the transformed scheme takes one kernel row for the
+        # whole solve, not one block of rows per block of levels.
+        rows = []
+        row = fracheat.solver.weights_row
+
+        def counted_row(*args):
+            rows.append(args)
+            return row(*args)
+
+        monkeypatch.setattr(fracheat.solver, "weights_row", counted_row)
+        mesh = uniform_time_mesh(T, N)
+        p = manufactured_sin(0.5)
+        solve(p, SpatialGrid(2), mesh, SchemeKind.L1)
+        solve(p, SpatialGrid(2), mesh)
+        assert len(rows) == 1
 
 
 class TestSineLevelSolve:
