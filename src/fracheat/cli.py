@@ -77,7 +77,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=[s.value for s in SchemeKind],
                    default=SchemeKind.TRANSFORMED.value)
     p.add_argument("--mesh", type=_mesh_kind, default="uniform",
-                   help="'uniform' or 'graded:<r>' with r >= 1")
+                   help="time mesh of either scheme: 'uniform', or 'graded:<r>' for "
+                   "t_n = T (n/N)**r with r >= 1")
     p.add_argument("--problem", choices=available_problems(), default="manufactured-sin")
     p.add_argument("--format", choices=["csv", "table"], default="csv")
     p.add_argument("--output", default=None, metavar="PATH",
@@ -109,8 +110,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"need at least 2 spatial cells, got {args.spatial_cells}")
     if not 0.0 < args.final_time < math.inf:
         parser.error(f"final time must be positive and finite, got {args.final_time:g}")
-    if args.scheme == SchemeKind.L1.value and parse_mesh_kind(args.mesh) != 1.0:
-        parser.error("the l1 scheme supports uniform meshes only")
     if args.command == "run":
         if len(args.alpha) != 1:
             parser.error("run takes a single alpha")

@@ -100,8 +100,6 @@ def lattice_error(
     discrete L2 and energy norms of each level's error and report the
     largest one.  A non-finite error at any level raises ValueError.
     """
-    if norm == "max":
-        return max_lattice_error(lattice, exact)
     if norm not in _LEVEL_NORMS:
         raise ValueError(f"unknown norm {norm!r} (known: {', '.join(_LEVEL_NORMS)})")
     return _worst_level(lattice, exact, norm)

@@ -47,7 +47,10 @@ def weights_row(
 ) -> np.ndarray:
     """Exact step integrals of the kernel (t_n - s)**(alpha-1) / Gamma(alpha).
 
-    Returns the read-only row a_1, ..., a_n of level n.  Every weight is
+    They serve both schemes of the solver: at the fractional order they
+    weigh the transformed scheme's step averages, and at one minus it, over
+    the step lengths, L1's difference quotients.  Returns the read-only row
+    a_1, ..., a_n of level n.  Every weight is
     positive and finite for an admissible mesh, and the row sums to
     t_n**alpha / Gamma(1 + alpha); a weight that rounds to zero (a step
     too small against t_n) raises ValueError.  With ``stop``, returns the
@@ -58,7 +61,7 @@ def weights_row(
     Parameters
     ----------
     alpha : float
-        Fractional order in (0, 1).
+        Exponent of the kernel in (0, 1).
     mesh : TemporalMesh
         Time levels; may be graded.
     n : int
@@ -75,8 +78,10 @@ def weights_row(
     powers = np.maximum(mesh.t[n:hi, None] - mesh.t[start:hi], 0.0)
     powers **= alpha
     w = (powers[:, :-1] - powers[:, 1:]) / math.gamma(1.0 + alpha)
-    ok = (w > 0.0) & (w < np.inf) | (np.arange(start, hi - 1) >= np.arange(n, hi)[:, None])
-    if not ok.all():
+    # Level m has m - start weights, and its padding past them is exactly 0.
+    ok, rows = (w > 0.0) & (w < np.inf), hi - n
+    if np.count_nonzero(ok) != rows * (n - start) + rows * (rows - 1) // 2:
+        ok |= np.arange(start, hi - 1) >= np.arange(n, hi)[:, None]
         i, k = np.unravel_index(np.argmin(ok), ok.shape)
         step = start + k + 1
         raise ValueError(

@@ -24,26 +24,56 @@ each block is then averaged and transformed at once.  The march itself
 adds the initial data's share and the history to those rows and divides,
 with no forcing call and no transform.
 
-The history of a level is one weighted sum over one source: u, or z with
-quadrature forcing (see below).  Its weights come in two parts.  The rows
-of the W = ``_WINDOW`` levels before a block of ``_BLOCK`` levels, and the
-block's own rows, get their exact weights: on a uniform mesh (steps
-equal to the rounding of the levels) every weight of either scheme
-depends only on the lag n - j, so one kernel row serves the whole solve;
-on a graded mesh one ``weights_row`` block per block of levels holds
-them.  Every older row reaches level n through a sum of exponentials.
-Its weights are integrals
-of a kernel that is smooth at lags past the window, t**(alpha-1) for the
-transformed scheme and, in units of the step, t**(-1-alpha) for L1, and
-``_exp_sum`` fits that kernel by sum_l w_l exp(-s_l t) to about 1e-13
-relative on [delta, t_N - t_0], with delta the shortest span of W steps
-(t_W - t_0 on the meshes of ``meshes``).  So the older history is sum_l
-exp(-s_l (t_n - t_ref)) S_l, with S_l one row of M + 1 states per term,
-referenced to the start t_ref of the window: when a block is done, the
-states decay to the next window start and absorb the rows that leave the
-window.  A block then costs three matrix products (window rows, states,
-absorption) and the solve O(M N (W + N_exp)), with N_exp about 80 to
-250 terms, on either mesh; solves of at most W levels build no states.
+Both schemes weigh one source per step k = 1..n of level n, with the
+exact step integrals c_k of the kernel (t_n - s)**(kappa-1) / Gamma(kappa)
+(``weights_row``): step k weighs theta (g^(k-1) +- g^k), with g the
+history source, by e_k = c_k, or c_k / tau_k for L1.  So row j of the
+source weighs theta (e_(j+1) +- e_j), and the own term +-theta e_n g^n
+joins the left-hand side.  The schemes are:
+
+* ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
+  the problem with kappa = alpha and endpoint averages, theta (g^(k-1) +
+  g^k) with theta = 1/2, of g = D2 u.  Here (p, r) = (1, e_n/2) and
+  rhs^n = H phi + H q^n + the history, where q^n is the fractional
+  integral of the forcing at t_n, either in closed form or by the same
+  product quadrature over samples f_k of f taken once per level,
+  sum_k c_k (f_k + f_{k-1})/2.  That weighs f_j like u^j, so the
+  quadrature history is no separate sum: its source is z_j = F_j - mu u^j,
+  with F_j the transformed H f_j, and level n adds its own e_n F_n / 2
+  while z_n still holds F_n.  Spatial accuracy is fourth order thanks to
+  the compact stencil; the temporal error comes only from averaging the
+  integrand over steps, so no time derivative of the solution is formed.
+
+* ``SchemeKind.L1`` is the classical baseline, in the nonuniform form of
+  Stynes, O'Riordan & Gracia (SIAM J. Numer. Anal. 55(2), 2017): the
+  Caputo derivative at t_n is sum_k d_(n,k) (u^k - u^(k-1)), with
+  d_(n,k) = e_k at kappa = 1 - alpha.  So g = H u, the step source is
+  g^(k-1) - g^k (theta = 1), (p, r) = (e_n, 1) and rhs^n = H f(t_n) + the
+  history.  On a uniform mesh d_(n,k) = lambda b_(n-k), with
+  lambda = 1 / (Gamma(2 - alpha) tau**alpha) and
+  b_j = (j + 1)**(1 - alpha) - j**(1 - alpha).
+
+A block of ``_BLOCK`` levels from b gets the exact weights of its own rows
+and of the W = ``_WINDOW`` rows lo = b - W..b-1 before it (lo = 1 while
+b <= W + 1), and row lo - 1 its share theta e_lo of step lo.  The older
+steps reach it through a sum of exponentials: ``_exp_sum`` fits
+t**(kappa-1) by sum_l w_l exp(-s_l t) to about 1e-13 relative on
+[delta, t_N], delta the shortest span of W steps, so step k weighs
+sum_l w_l exp(-s_l (t_n - t_k)) (-expm1(-s_l tau_k) / s_l) / Gamma(kappa)
+(over tau_k for L1).  The states S_l, one row of M + 1 per term, hold
+those steps referenced to t_(lo-1): when a block is done they decay to
+the next window start and absorb the steps that leave, each as its
+source.  So every step is weighed whole, by the fit or exactly, in one
+form for both schemes.  A block costs three matrix products (window rows,
+states, absorption) and the solve O(M N (W + N_exp)), with N_exp about 80
+to 250 terms; solves that no step leaves before their last block build no
+states.  ``_block_weights`` builds a block's weights, denominators, the
+states' decay to its levels and their absorption weights.  A graded mesh
+calls it once per block.  On a uniform mesh (steps equal to the rounding
+of the levels) they depend only on lags, so it runs once, in units of the
+step (integer levels, weights times tau**kappa, or tau**(kappa-1) for
+L1), on one block a full window past the start, and every block slices
+that block; the shares of row lo - 1 by lag come from its last level.
 
 Within a block, level i still needs the block's earlier levels: per mode
 m, u_i = c_i + f_m sum_{j<i} lag_{i-j} u_j, with f_m = gain_m / den_m.
@@ -58,38 +88,6 @@ are slower than the loop's row products), and blocks whose right-hand
 side is not finite (the inverse's zeros would carry a NaN into earlier
 levels) are solved level by level instead, each level adding the rows
 solved before it in the block.  Either way no level reads a later one.
-The schemes are:
-
-* ``SchemeKind.TRANSFORMED`` discretizes the integrated (Volterra) form of
-  the problem with the exact kernel step weights a_1..a_n of level n
-  (a_0 = 0) and endpoint averages of the integrand.  Here (p, r) =
-  (1, a_n/2) and
-
-      rhs^n = H phi + H q^n + D2 sum_{j<n} w_j u^j,   w_j = (a_j + a_{j+1})/2,
-
-  where q^n is the fractional integral of the forcing at t_n, either in
-  closed form or by the same product quadrature over samples f_k of f
-  taken once per level, sum_k a_k (f_k + f_{k-1})/2.  That weighs f_j,
-  j < n, with the same w_j as u^j and f_n with r, so the quadrature
-  history is no separate sum: its source is z_j = F_j - mu u^j, with F_j
-  the transformed H f_j, and level n adds r F_n.  On a uniform mesh
-  a_k = A_{n-k+1}, with A_1..A_N the weights of level N reversed.
-  Spatial accuracy is fourth order thanks to the compact stencil; the
-  temporal error comes only from averaging the integrand over steps, so
-  no time derivative of the solution is ever formed and graded meshes
-  are supported directly.
-
-* ``SchemeKind.L1`` is the classical baseline on a uniform mesh: the
-  Caputo derivative is replaced by the L1 difference quotient, so (p, r) =
-  (lambda, 1) with lambda = 1 / (Gamma(2 - alpha) tau**alpha), and
-
-      rhs^n = lambda H (b_{n-1} u^0 + sum_{0<j<n} (b_{n-j-1} - b_{n-j}) u^j)
-              + H f(t_n),    b_j = (j + 1)**(1 - alpha) - j**(1 - alpha).
-
-  The weight b_{k-1} - b_k of lag k is alpha (1 - alpha) times the double
-  integral of (k - 1 + x + y)**(-1-alpha) over the unit square, so with
-  the fit it is alpha (1 - alpha) sum_l w_l exp(-s_l (k - 1))
-  ((1 - exp(-s_l)) / s_l)**2.
 
 The transforms mix nodes within a level but never across levels, so a
 non-finite level can still only come from non-finite (or overflowing)
@@ -112,10 +110,10 @@ from .quadrature import _exp_sum, weights_row
 
 __all__ = ["SchemeKind", "SolutionLattice", "solve"]
 
-# Levels before a block whose history weights are exact; older levels
-# reach it through the sum-of-exponentials states.  Solves of at most this
-# many levels build no states, whose setup and products cost more than the
-# exact weights they replace on short, wide solves.
+# Levels before a block whose history weights are exact; older steps reach
+# it through the sum-of-exponentials states.  Solves of at most this many
+# levels plus a block build no states, whose setup and products cost more
+# than the exact weights they replace on short, wide solves.
 _WINDOW = 128
 # Levels per block of the march: one matrix product adds the history from
 # before the block to all of its levels, which are then solved a leaf at a
@@ -138,6 +136,11 @@ _EXP_CLIP = 600.0
 class SchemeKind(enum.Enum):
     TRANSFORMED = "transformed"
     L1 = "l1"
+
+
+# Step k's source is theta (g^(k-1) + g^k) for the transformed scheme and
+# theta (g^(k-1) - g^k) for L1: (theta, the ufunc that joins the two rows).
+_ENDS = {SchemeKind.TRANSFORMED: (0.5, np.add), SchemeKind.L1: (1.0, np.subtract)}
 
 
 @dataclass(frozen=True)
@@ -259,6 +262,52 @@ def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) 
     dst += part
 
 
+def _block_weights(levels, b, e, lo, scheme, kappa, unit, fit, h, s):
+    """The weights of levels b..e-1 on ``levels``, from the window start lo >= 1.
+
+    Returns (step, w, den, lev, absorb):
+
+    * step[i, k], the weight e_(lo+k) of step lo + k in level n = b + i,
+      ``unit`` times c_(lo+k) (divided by tau_(lo+k) for L1), zero past n;
+    * w[i, c], the weight of row j = lo - 1 + c in level n: theta e_lo for
+      c = 0, then theta (e_(j+1) +- e_j) through row n (its own term) and
+      zero past it;
+    * den, the levels' denominators: a broadcast row if their own weights
+      e_n agree, as on a uniform mesh in units of its step;
+    * with a ``fit`` (rates, coefficients), lev[i, l] = exp(-rate_l (t_n -
+      t_(lo-1))), the decay of states referenced to t_(lo-1), and absorb,
+      which refers them to t_(out-1), out = e - W: absorb[l, 0] decays them
+      and absorb[l, 1 + k] weighs step lo + k, for the steps lo..out-1 that
+      leave the window.  Without a fit, both are None.
+    """
+    theta, combine = _ENDS[scheme]
+    t, l1 = levels.t, scheme is SchemeKind.L1
+    tau = np.diff(t[lo - 1 : e])
+    step = weights_row(kappa, levels, b, e, lo - 1) * unit
+    if l1:
+        step /= tau
+    w = np.zeros((e - b, step.shape[1] + 1))
+    w[:, :-1] = step
+    combine(w[:, 1:], step, out=w[:, 1:])
+    w *= theta
+    own = np.diagonal(step, b - lo)
+    same = own[0] == own[-1] and own.min() == own.max()
+    own = own[0] if same else own[:, None]
+    den = _denominators(*((own, 1.0) if l1 else (1.0, 0.5 * own)), h, s)
+    den = np.broadcast_to(den, (e - b, len(s))) if same else den
+    if fit is None:
+        return step, w, den, None, None
+    rate, coef = fit
+    out = max(e - _WINDOW, lo)
+    tau = tau[: out - lo]
+    absorb = _decay(rate, t[out - 1] - t[lo - 1 : out])
+    absorb[:, 1:] *= np.expm1(-np.multiply.outer(rate, tau))
+    absorb[:, 1:] *= (-theta * coef / rate)[:, None]
+    if l1:
+        absorb[:, 1:] /= tau
+    return step, w, den, _decay(rate, t[b:e] - t[lo - 1]).T, absorb
+
+
 # A level that overflows or turns NaN is reported by name below, so numpy's
 # warnings about it (from the forcing, the products or the transforms)
 # would only repeat that.
@@ -279,40 +328,16 @@ def solve(
     phi = np.asarray(problem.phi(x), dtype=float)
     s = np.sin(0.5 * np.pi * h * np.arange(M + 1)) ** 2
     eta = 1.0 - s / 3.0
-    # Rows hold sine coefficients until the march is done.  Row 0 holds
-    # those of phi, which graded meshes sum from j = 0.
+    # Rows hold sine coefficients until the march is done, row 0 those of
+    # phi.
     u = np.zeros((N + 1, M + 1))
     u[0] = _sine(phi)
     l1 = scheme is SchemeKind.L1
-    uniform = _is_uniform(mesh.t)
-    if l1 and not uniform:
-        raise ValueError("the L1 scheme requires a uniform time mesh")
-    if uniform:
-        # Coefficients depend on the lag n - j only: ``lag`` weighs row j
-        # of the history source in level n, and ``seed`` its row 0.
-        if l1:
-            p, r = 1.0 / (math.gamma(2.0 - alpha) * (mesh.T / N) ** alpha), 1.0
-            j = np.arange(N, dtype=float)
-            seed = (j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha)
-            lag = np.concatenate(([0.0], seed[:-1] - seed[1:]))
-        else:
-            A = weights_row(alpha, mesh, N)[::-1]
-            p, r = 1.0, 0.5 * A[0]
-            seed = 0.5 * A
-            lag = np.concatenate(([0.0], 0.5 * (A[:-1] + A[1:])))
-        # In level b + i of a block from b, near[i, c] weighs row b - W + c:
-        # near[i, c] = lag[W + i - c], and lag[0] = 0 from c = W + i on.
-        near = np.zeros((_BLOCK, _WINDOW + _BLOCK))
-        for i in range(_BLOCK):
-            k = min(_WINDOW + i, N - 1)
-            near[i, _WINDOW + i - k : _WINDOW + i] = lag[k:0:-1]
-        den = _denominators(p, r, h, s)
+    kappa = 1.0 - alpha if l1 else alpha
+    theta, combine = _ENDS[scheme]
     # Level n's coefficients are (base + F^n + T^n) / den, with T^n its
-    # history sum and F^n the transformed H forcing (r F_n for quadrature).
-    if l1:
-        gain, base = p * eta, 0.0
-    else:
-        gain, base = -4.0 * s / (h * h), eta * u[0]
+    # history sum and F^n the transformed H forcing.
+    gain, base = (eta, 0.0) if l1 else (-4.0 * s / (h * h), eta * u[0])
 
     # The history source is u, scaled by ``gain``, or with quadrature
     # forcing z, which holds F_j (the transformed H f_j) before the march
@@ -338,83 +363,63 @@ def solve(
         block[:] = _sine(apply_compact(block))
     if z is not None:
         z[0] += gain * u[0]
+
+    # Blocks [b, e) start at 1, the last at last + 1.  The states are set
+    # up only if a step leaves the window before the last block; a uniform
+    # mesh slices blocks of ``width`` window rows and ``height`` levels.
+    last = (N - 1) // _BLOCK * _BLOCK
+    width, height = min(_WINDOW, last), min(_BLOCK, N)
+    uniform = _is_uniform(mesh.t)
+    if uniform:
+        levels = TemporalMesh(np.arange(max(N, width + height) + 1.0))
+        unit = (mesh.T / N) ** (kappa - 1.0 if l1 else kappa)
+    else:
+        levels, unit = mesh, 1.0
+    t, fit, states = levels.t, None, None
+    if last > _WINDOW:
+        delta = np.min(t[_WINDOW : N + 1] - t[: N + 1 - _WINDOW])
+        rate, weight = _exp_sum(1.0 - kappa, delta, t[N])
+        fit = rate, weight * (unit / math.gamma(kappa))
+        states = np.zeros((len(rate), M + 1))
     inverse = None
     if uniform:
-        # Level n solves (rhs + scale T^n) / den: ``factor`` = scale / den.
-        factor = np.broadcast_to(scale / den, (_BLOCK, M + 1))
+        step, near, den, lev, absorb = _block_weights(
+            levels, width + 1, width + height + 1, 1, scheme, kappa, unit, fit, h, s
+        )
+        # Row lo - 1 weighs share[n - lo] in level n, and a row k levels
+        # back weighs lag[k].  Level n solves (rhs + scale T^n) / den.
+        share, near = theta * step[-1, ::-1], near[:, 1:]
+        lag, factor = near[-1, ::-1], np.broadcast_to(scale / den[:1], (height, M + 1))
         if (M + 1) * _LEAF * _LEAF * 8 <= _CHUNK_BYTES:
-            leaf = min(_LEAF, _BLOCK, N)
-            inverse = _leaf_inverse(lag, gain / den, leaf)
-        den = np.broadcast_to(den, (_BLOCK, M + 1))
+            leaf = min(_LEAF, height)
+            inverse = _leaf_inverse(lag, gain / den[0], leaf)
 
-    # The history of rows j0..ref-1 is in ``states``, referenced to t_ref:
-    # with the fit, row j weighs sum_l exp(-s_l (t_n - t_ref)) G_lj in
-    # level n.  They are set up only if some row leaves the window before
-    # the last block.
-    t = mesh.t
-    j0 = 1 if uniform else 0
-    ref, states = j0, None
-    ends = range(1 + _BLOCK, N + 1, _BLOCK)
-    if ends and ends[-1] - _WINDOW > j0:
-        if uniform:
-            # In steps, the kernel of the lag weights is t**-beta on [W, N].
-            rate, weight = _exp_sum(1.0 + alpha if l1 else 1.0 - alpha, _WINDOW, N)
-            if l1:
-                coef = alpha * (1.0 - alpha) * weight * (np.expm1(-rate) / rate) ** 2
-            else:
-                coef = weight * (mesh.T / N) ** alpha / (2.0 * math.gamma(alpha))
-                coef *= -np.expm1(-2.0 * rate) / rate
-            # Lag k weighs sum_l coef_l exp(-s_l (k - 1)).  Level b + i is
-            # W + i steps after the window start of its block, and row
-            # out - B + c leaves the window B - c steps before the next
-            # window start, out.
-            levels = _decay(rate, np.arange(_WINDOW, _WINDOW + _BLOCK)).T
-            leaving = coef[:, None] * _decay(rate, np.arange(_BLOCK - 1, -1, -1))
-            decay = _decay(rate, [_BLOCK])
-        else:
-            rate, weight = _exp_sum(1.0 - alpha, np.min(t[_WINDOW:] - t[:-_WINDOW]), mesh.T)
-            coef = weight / (2.0 * math.gamma(alpha))
-            # tau[k] is step k, with tau[0] = 0 for the a_0 = 0 of row 0.
-            tau = np.diff(t, prepend=0.0)
-        states = np.zeros((len(rate), M + 1))
-
-    # Blocks [b, e): row i of ``w`` weighs row j >= lo of the source in
-    # level b + i at column j - lo.
+    # In a block [b, e), row i of ``w`` weighs row j >= lo of the source in
+    # level b + i at column j - lo, and part[i] row lo - 1.  The states
+    # hold the steps before lo, referenced to t_(lo-1).
     for b in range(1, N + 1, _BLOCK):
         e = min(b + _BLOCK, N + 1)
-        lo = max(j0, b - _WINDOW)
+        lo = max(1, b - _WINDOW)
         if uniform:
-            w = near[: e - b, _WINDOW - (b - lo) :]
+            part, w = share[b - lo : e - lo], near[: e - b, width - (b - lo) :]
         else:
-            # w_j = (a_j + a_{j+1}) / 2 with a_0 = 0 weighs row j < n, so
-            # the weights start one step before the window.
-            first = max(lo - 1, 0)
-            a = weights_row(alpha, mesh, b, e, first)
-            r = 0.5 * np.diagonal(a, b - 1 - first)[:, None]
-            den = _denominators(1.0, r, h, s)
-            factor = scale / den
-            w = a * 0.5
-            w[:, 1:] += 0.5 * a[:, :-1]
-            w = w[:, lo - first :]
-        # The known rest of the right-hand side: base, and seed_n times the
-        # source's row 0 on a uniform mesh.
+            _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, kappa, 1.0, fit, h, s)
+            part, w, factor = w[:, 0], w[:, 1:], scale / den
         u[b:e] += base
-        if uniform:
-            u[b:e] += seed[b - 1 : e - 1, None] * (scale * src[0])
+        u[b:e] += part[:, None] * (scale * src[lo - 1])
         _add_products(u[b:e], w[:, : b - lo], src[lo:b], scale)
-        if ref > j0:
-            lev = levels[: e - b] if uniform else _decay(rate, t[b:e] - t[ref]).T
-            _add_products(u[b:e], lev, states, scale)
-        if z is not None:
-            # Each level's own forcing sample, weighed by r = a_n / 2.
-            u[b:e] += r * z[b:e]
+        if lo > 1:
+            _add_products(u[b:e], lev[: e - b], states, scale)
         u[b:e] /= den[: e - b]
-        if inverse is not None and np.isfinite(u[b:e]).all():
+        # A NaN in the block's rows, or in its F rows that the leaf
+        # products read, would reach earlier levels through zero weights.
+        leaves = inverse is not None and np.isfinite(u[b:e]).all()
+        if leaves and (z is None or np.isfinite(z[b:e]).all()):
             for c in range(b, e, leaf):
                 d = min(c + leaf, e)
                 # The block's rows before the leaf, solved, and with
                 # quadrature forcing also the leaf's own z rows, which
-                # still hold F_j.
+                # still hold F_j: each level's own F_n with weight e_n / 2.
                 hi = c if z is None else d
                 if hi > b:
                     _add_products(
@@ -425,27 +430,19 @@ def solve(
                     z[c:d] += gain * u[c:d]
         else:
             for i, n in enumerate(range(b, e)):
-                if i:
-                    u[n] += factor[i] * (w[i, b - lo : n - lo] @ src[b:n])
+                # With quadrature forcing, row n's own F_n too.
+                hi = n if z is None else n + 1
+                if hi > b:
+                    u[n] += factor[i] * (w[i, b - lo : hi - lo] @ src[b:hi])
                 if z is not None:
                     z[n] += gain * u[n]
         out = e - _WINDOW
-        if states is not None and out > j0 and e <= N:
-            # Rows ref..out-1 leave the window: the states decay to t_out
-            # and absorb them.
-            if uniform:
-                states *= decay
-                g = leaving[:, ref - out :]
-            else:
-                states *= _decay(rate, t[out] - t[ref])[:, None]
-                # Row j weighs coef (h_j + h_{j+1}) in the states, with
-                # h_k = exp(-s (t_out - t_k)) (1 - exp(-s tau_k)) / s.
-                hk = _decay(rate, t[out] - t[ref : out + 1])
-                hk *= np.expm1(-np.multiply.outer(rate, tau[ref : out + 1]))
-                hk *= -coef[:, None] / rate[:, None]
-                g = hk[:, :-1] + hk[:, 1:]
-            _add_products(states, g, src[ref:out], 1.0)
-            ref = out
+        if out > lo and e <= N:
+            # Steps lo..out-1 leave the window: the states decay to
+            # t_(out-1) and absorb them, each as its source.
+            states *= absorb[:, :1]
+            leaving = combine(src[lo - 1 : out - 1], src[lo:out])
+            _add_products(states, absorb[:, lo - out :], leaving, 1.0)
 
     # Back to nodal values, in the same blocks of rows.  Row 0 gets phi as
     # sampled.

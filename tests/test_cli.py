@@ -86,6 +86,21 @@ class TestConverge:
         assert [row[2] for row in graded[1:]] == ["graded:1", "graded:1"]
         assert [row[3:7] for row in graded] == [row[3:7] for row in uniform]
 
+    def test_l1_on_a_graded_mesh(self, capsys):
+        # L1 runs on graded meshes like the transformed scheme: a row per
+        # rung, each after the first with its rate, near 2 - alpha = 1.5.
+        rc = main([
+            "converge", "--alpha", "0.5", "--scheme", "l1", "--mesh", "graded:2",
+            "--time-steps", "40:320:x2",
+        ])
+        assert rc == 0
+        rows = [line.split(",") for line in _lines(capsys)[1:]]
+        assert [row[:5] for row in rows] == [
+            ["0.5", "l1", "graded:2", "100", str(N)] for N in (40, 80, 160, 320)
+        ]
+        rates = [float(row[6]) for row in rows[1:]]
+        assert rows[0][6] == "" and all(1.4 < rate < 1.5 for rate in rates)
+
     def test_runtime_failure_exits_one(self, capsys):
         # sine-decay at T = 1 needs series arguments the reference
         # evaluator cannot sum for small alpha, so error measurement fails
@@ -300,8 +315,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["converge", "--alpha", "0.5", "--time-steps", "8",
-             "--scheme", "l1", "--mesh", "graded:2"],
             ["converge", "--alpha", "1.5", "--time-steps", "8"],
             ["converge", "--alpha", "0.5", "--time-steps", "10:640:x3"],
             ["converge", "--alpha", "0.5", "--time-steps", "10:639:x2"],

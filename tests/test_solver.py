@@ -38,8 +38,11 @@ def _dense_march(problem, M, mesh, scheme):
     Transformed: (H - (a_n/2) D2) u^n = H phi + H q^n
         + sum_{k=1}^{n-1} a_k (D2 u^k + D2 u^{k-1}) / 2 + (a_n/2) D2 u^{n-1},
     with q^n closed form or sum_k a_k (f^k + f^{k-1}) / 2.
-    L1: (mu H - D2) u^n = mu H (u^{n-1} - sum_{k=1}^{n-1} b_{n-k} (u^k - u^{k-1}))
-        + H f^n.
+    L1, in the nonuniform form of Stynes, O'Riordan & Gracia:
+    (d_n H - D2) u^n = H (d_n u^{n-1} - sum_{k=1}^{n-1} d_k (u^k - u^{k-1})) + H f^n,
+    with d_k = ((t_n - t_{k-1})**(1-alpha) - (t_n - t_k)**(1-alpha))
+    / (Gamma(2 - alpha) (t_k - t_{k-1})), which is lambda b_{n-k} on a
+    uniform mesh.
     Boundary values are pinned to zero, so only the interior block is solved.
     """
     alpha, t = problem.alpha, mesh.t
@@ -63,12 +66,14 @@ def _dense_march(problem, M, mesh, scheme):
             for k in range(1, n):
                 rhs += a[k] * (D2 @ u[k] + D2 @ u[k - 1]) / 2.0
         else:
-            tau = t[1] - t[0]
-            mu = 1.0 / (math.gamma(2.0 - alpha) * tau**alpha)
-            b = [(j + 1.0) ** (1.0 - alpha) - j ** (1.0 - alpha) for j in range(n)]
-            combo = u[n - 1] - sum(b[n - k] * (u[k] - u[k - 1]) for k in range(1, n))
-            A = mu * H - D2
-            rhs = mu * (H @ combo) + H @ problem.f(x, t[n])
+            d = [0.0] + [
+                ((t[n] - t[k - 1]) ** (1.0 - alpha) - (t[n] - t[k]) ** (1.0 - alpha))
+                / (math.gamma(2.0 - alpha) * (t[k] - t[k - 1]))
+                for k in range(1, n + 1)
+            ]
+            combo = d[n] * u[n - 1] - sum(d[k] * (u[k] - u[k - 1]) for k in range(1, n))
+            A = d[n] * H - D2
+            rhs = H @ combo + H @ problem.f(x, t[n])
         u.append(np.zeros(M + 1))
         u[n][1:-1] = np.linalg.solve(A[1:-1, 1:-1], rhs[1:-1])
     return np.array(u)
@@ -165,6 +170,9 @@ class TestBothSchemes:
             (SchemeKind.TRANSFORMED, True, 0.5, 2.0, True, 8, 6),
             (SchemeKind.TRANSFORMED, True, 0.5, 2.0, False, 8, 6),
             (SchemeKind.L1, True, 0.5, 1.0, True, 8, 6),
+            (SchemeKind.L1, False, 0.5, 2.0, True, 8, 6),
+            (SchemeKind.L1, False, 0.25, 3.0, True, 64, 40),
+            (SchemeKind.L1, True, 0.75, 2.0, True, 8, 6),
         ],
     )
     def test_march_matches_dense_oracle(
@@ -249,41 +257,46 @@ class TestBothSchemes:
     @pytest.mark.parametrize("block", [1, 3, 5, 32])
     @pytest.mark.parametrize("N", [13, 27])
     @pytest.mark.parametrize(
-        "problem, closed_form",
+        "scheme, grading, problem, closed_form",
         [
-            ("sine-decay", True),
-            ("forced-sine", True),
-            ("forced-sine", False),
-            ("boundary-forced", True),
-            ("boundary-forced", False),
-            ("boundary-forced-sine", True),
-            ("boundary-forced-sine", False),
+            (SchemeKind.TRANSFORMED, 2.0, "sine-decay", True),
+            (SchemeKind.TRANSFORMED, 2.0, "forced-sine", True),
+            (SchemeKind.TRANSFORMED, 2.0, "forced-sine", False),
+            (SchemeKind.TRANSFORMED, 2.0, "boundary-forced", True),
+            (SchemeKind.TRANSFORMED, 2.0, "boundary-forced", False),
+            (SchemeKind.TRANSFORMED, 2.0, "boundary-forced-sine", True),
+            (SchemeKind.TRANSFORMED, 2.0, "boundary-forced-sine", False),
+            (SchemeKind.L1, 2.0, "sine-decay", True),
+            (SchemeKind.L1, 2.0, "forced-sine", True),
+            (SchemeKind.L1, 2.0, "boundary-forced-sine", True),
+            (SchemeKind.L1, 3.0, "sine-decay", True),
+            (SchemeKind.L1, 3.0, "forced-sine", True),
+            (SchemeKind.L1, 3.0, "boundary-forced-sine", True),
         ],
     )
     def test_graded_block_march_matches_dense_oracle(
-        self, monkeypatch, problem, closed_form, N, block
+        self, monkeypatch, scheme, grading, problem, closed_form, N, block
     ):
-        # Windows of 4 levels, so the rows before them reach a block through
-        # the states.  Blocks of 1, 3 and 5 levels (5 is wider than the
-        # window), the last cut off by N, and one of 32 that holds the
+        # Windows of 4 levels, so the steps before them reach a block
+        # through the states.  Blocks of 1, 3 and 5 levels (5 is wider than
+        # the window), the last cut off by N, and one of 32 that holds the
         # whole march; forcing blocks of one row.
         monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 1)
         p = _oracle_problem(problem, closed_form)
-        M, mesh = 8, graded_time_mesh(1.0, N, 2.0)
-        got = solve(p, SpatialGrid(M), mesh).values
-        np.testing.assert_allclose(
-            got, _dense_march(p, M, mesh, SchemeKind.TRANSFORMED), rtol=1e-12, atol=1e-14
-        )
+        M, mesh = 8, graded_time_mesh(1.0, N, grading)
+        got = solve(p, SpatialGrid(M), mesh, scheme).values
+        np.testing.assert_allclose(got, _dense_march(p, M, mesh, scheme), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize(
         "grading, closed_form, rows",
         # Graded: one call per block of levels, [1, 33) and [33, 41).
         [(1.0, True, 1), (1.0, False, 1), (2.0, True, 2), (2.0, False, 2)],
     )
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
     def test_kernel_rows_and_forcing_samples_per_solve(
-        self, monkeypatch, grading, closed_form, rows
+        self, monkeypatch, scheme, grading, closed_form, rows
     ):
         row_calls, f_calls = [], []
         row = fracheat.solver.weights_row
@@ -301,9 +314,17 @@ class TestBothSchemes:
         p = dataclasses.replace(base, f=counted_f)
         if not closed_form:
             p = dataclasses.replace(p, exact_f_conv=None)
-        solve(p, SpatialGrid(8), graded_time_mesh(1.0, 40, grading))
+        solve(p, SpatialGrid(8), graded_time_mesh(1.0, 40, grading), scheme)
         assert len(row_calls) == rows
-        assert len(f_calls) == (0 if closed_form else 40 + 1)
+        # f from t_0 with quadrature forcing, from t_1 for L1.
+        l1 = scheme is SchemeKind.L1
+        assert len(f_calls) == (40 if l1 else 0 if closed_form else 40 + 1)
+        if grading == 1.0:
+            # A uniform mesh computes its block weights once: a solve of
+            # 4,000 levels, with states, makes no more calls than one of 40.
+            del row_calls[:]
+            solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4000), scheme)
+            assert len(row_calls) == rows
 
     @pytest.mark.parametrize("closed_form", [True, False])
     def test_graded_kernel_weights_stay_within_the_window(self, monkeypatch, closed_form):
@@ -327,7 +348,12 @@ class TestBothSchemes:
 
     @pytest.mark.parametrize(
         "grading, scheme",
-        [(1.0, SchemeKind.TRANSFORMED), (1.0, SchemeKind.L1), (2.0, SchemeKind.TRANSFORMED)],
+        [
+            (1.0, SchemeKind.TRANSFORMED),
+            (1.0, SchemeKind.L1),
+            (2.0, SchemeKind.TRANSFORMED),
+            (2.0, SchemeKind.L1),
+        ],
     )
     @pytest.mark.parametrize("closed_form", [True, False])
     @pytest.mark.parametrize(
@@ -651,9 +677,9 @@ class TestUniformMeshTest:
 
     @pytest.mark.parametrize("T, N", [(0.2, 3_604), (1.0, 9_008), (3.0, 3_380)])
     def test_meshes_the_relative_test_rejected_solve_as_uniform(self, monkeypatch, T, N):
-        # The first N the old tolerance rejected at each T: L1 now accepts
-        # the mesh, and the transformed scheme takes one kernel row for the
-        # whole solve, not one block of rows per block of levels.
+        # The first N the old tolerance rejected at each T: either scheme
+        # takes one block of kernel weights for the whole solve, as on a
+        # short uniform mesh, not one block per block of levels.
         rows = []
         row = fracheat.solver.weights_row
 
@@ -662,11 +688,14 @@ class TestUniformMeshTest:
             return row(*args)
 
         monkeypatch.setattr(fracheat.solver, "weights_row", counted_row)
-        mesh = uniform_time_mesh(T, N)
         p = manufactured_sin(0.5)
-        solve(p, SpatialGrid(2), mesh, SchemeKind.L1)
-        solve(p, SpatialGrid(2), mesh)
-        assert len(rows) == 1
+        for scheme in SchemeKind:
+            solve(p, SpatialGrid(2), uniform_time_mesh(T, 40), scheme)
+            short = len(rows)
+            del rows[:]
+            solve(p, SpatialGrid(2), uniform_time_mesh(T, N), scheme)
+            assert len(rows) == short
+            del rows[:]
 
 
 class TestSineLevelSolve:
@@ -793,11 +822,59 @@ class TestTransformedScheme:
         assert err_graded < err_uniform / 10.0
 
 
+def _longdouble_l1_mode(alpha, M, mesh):
+    """Amplitudes a_n of L1's first sine mode from phi = sin(pi x), f = 0.
+
+    A dense march in np.longdouble of (d_n eta + mu) a_n = eta (d_n a_{n-1}
+    + sum_{k<n} d_k (a_{k-1} - a_k)), with eta and mu the eigenvalues of H
+    and -D2 and the nonuniform L1 weights d_k of ``_dense_march``, each
+    step integral taken as -x**kappa expm1(kappa log1p(-tau_k / x)),
+    x = t_n - t_{k-1}, so that short steps against late levels keep their
+    digits.
+    """
+    t, kappa = mesh.t.astype(np.longdouble), np.longdouble(1.0 - alpha)
+    s = np.longdouble(np.sin(0.5 * np.pi / M) ** 2)
+    eta, mu = 1 - s / 3, 4 * s * M * M
+    tau, a = np.diff(t), [np.longdouble(1.0)]
+    for n in range(1, mesh.N + 1):
+        x = t[n] - t[:n]
+        # The own step, x = tau_n, takes log1p(-1) = -inf to d = x**kappa.
+        with np.errstate(divide="ignore"):
+            d = -(x**kappa) * np.expm1(kappa * np.log1p(-tau[:n] / x))
+        d /= np.longdouble(gamma(2.0 - alpha)) * tau[:n]
+        hist = d[-1] * a[-1] + d[:-1] @ (np.array(a[:-1]) - np.array(a[1:]))
+        a.append(eta * hist / (d[-1] * eta + mu))
+    return np.array(a)
+
+
 class TestL1Scheme:
-    def test_rejects_graded_mesh(self):
-        p = manufactured_sin(0.5)
-        with pytest.raises(ValueError, match="uniform"):
-            solve(p, SpatialGrid(8), graded_time_mesh(1.0, 8, 2.0), SchemeKind.L1)
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_converges_on_graded_meshes(self, alpha):
+        # With r = (2 - alpha) / alpha the rates approach 2 - alpha from
+        # below: 1.63, 1.48 and 1.29 for N = 256 to 512 at this M.
+        p = manufactured_sin(alpha)
+        errs = [
+            max_lattice_error(
+                solve(p, SpatialGrid(64), graded_time_mesh(1.0, N, (2.0 - alpha) / alpha),
+                      SchemeKind.L1),
+                p.exact_u,
+            )
+            for N in (64, 128, 256, 512)
+        ]
+        rates = np.log2(np.divide(errs[:-1], errs[1:]))
+        assert np.all(np.diff(rates) > 0.0)
+        assert 2.0 - alpha - 0.1 < rates[-1] < 2.0 - alpha
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5])
+    def test_strongly_graded_mesh_matches_a_longdouble_march(self, alpha):
+        # The first step is T / N**3 = 1.2e-10 T, so the states carry
+        # steps far shorter than the spans they are weighed over, against
+        # an independent march in extended precision.
+        M, mesh = 16, graded_time_mesh(0.01, 2048, 3.0)
+        grid = SpatialGrid(M)
+        got = solve(sine_decay(alpha), grid, mesh, SchemeKind.L1).values
+        ref = np.multiply.outer(_longdouble_l1_mode(alpha, M, mesh), np.sin(np.pi * grid.x))
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_converges_on_reference_problem(self):
         p = manufactured_sin(0.5)
