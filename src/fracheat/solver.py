@@ -11,11 +11,14 @@ pinned ends, H and D2 are both diagonal in the discrete sine basis
 sin(m pi x_i), m = 1..M-1, with eigenvalues eta_m = 1 - s_m / 3 and
 -mu_m = -4 s_m / h**2, s_m = sin(m pi h / 2)**2.  So the whole march runs
 on sine coefficients, and each level is M - 1 scalar divisions.  The
-initial data and the forcing are transformed in (a DST-I by FFT of the
-odd extension), and the finished levels are transformed out once.  The
-odd extension drops the boundary values of phi, which ``ProblemSpec``
-bounds by 1e-12; the forcing is averaged by H in physical space first, so
-its boundary values still reach rows 1 and M-1.
+initial data and the forcing are transformed in by a DST-I, and the
+finished levels are transformed out once.  On grids up to M = 255 that is
+one matrix product per block of rows with a cached sine basis, and the
+forcing's basis has H folded in; wider grids take an FFT of the odd
+extension, after averaging the forcing by H in physical space.  The
+transform drops the boundary values of phi, which ``ProblemSpec`` bounds
+by 1e-12; those of the forcing still reach the modes through rows 1 and
+M-1 of H.
 
 The forcing is filled into each level's row before the march, in blocks
 of rows: a closed-form forcing integral is sampled once per block, with
@@ -74,6 +77,9 @@ of the levels) they depend only on lags, so it runs once, in units of the
 step (integer levels, weights times tau**kappa, or tau**(kappa-1) for
 L1), on one block a full window past the start, and every block slices
 that block; the shares of row lo - 1 by lag come from its last level.
+That block's step integrals are gathered by lag from one row of
+``weights_row``, its last level's: the integer levels subtract exactly,
+so the gathered block is the one ``weights_row`` would give.
 
 Within a block, level i still needs the block's earlier levels: per mode
 m, u_i = c_i + f_m sum_{j<i} lag_{i-j} u_j, with f_m = gain_m / den_m.
@@ -89,15 +95,16 @@ side is not finite (the inverse's zeros would carry a NaN into earlier
 levels) are solved level by level instead, each level adding the rows
 solved before it in the block.  Either way no level reads a later one.
 
-The transforms mix nodes within a level but never across levels, so a
-non-finite level can still only come from non-finite (or overflowing)
-forcing or initial data, and ``solve`` names the first one instead of
-returning it.
+The transforms mix nodes within a level but never across levels (a row
+of a product with the basis is one level), so a non-finite level can
+still only come from non-finite (or overflowing) forcing or initial
+data, and ``solve`` names the first one instead of returning it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -126,7 +133,9 @@ _BLOCK = 32
 # would outgrow the working memory ``solve`` is allowed.
 _LEAF = 16
 # Working memory of one block of rows of the forcing transform or of the
-# final sine transform, in bytes.
+# final sine transform, in bytes.  It also bounds each of the two cached
+# sine bases, (M + 1)**2 doubles, so grids up to M = 255 transform by
+# matrix product and wider ones by FFT.
 _CHUNK_BYTES = 512 * 1024
 # Exponents of the decay factors are clipped here, so that no subnormal
 # number enters a product: exp(-600) is 2.6e-261.
@@ -164,22 +173,61 @@ class SolutionLattice:
             raise ValueError("computed levels must satisfy the boundary pinning")
 
 
-def _sine(v: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=2)
+def _sine_bases(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DST-I of ``_sine`` as a matrix S, and as one after the average, H^T S.
+
+    S[i, m] = sin(pi i m / M), with rows and columns 0 and M zero, so that
+    ``v @ S`` transforms the rows of ``v``.  In the second basis, H is
+    the compact average as a matrix (``apply_compact`` of a row is that
+    row times H^T), so ``v @ (H^T S)`` transforms ``apply_compact(v)``.
+    The sine modes are eigenvectors of H's interior rows, so the interior
+    rows of H^T S are those of S times eta_m = 1 - sin(m pi / 2M)**2 / 3;
+    rows 0 and M are rows 1 and M - 1 of S over 12, the weight of the
+    boundary values in rows 1 and M - 1 of H.  Both are read-only.  The
+    sines are taken of angles folded into [0, pi/2], so that the zeros
+    and symmetries of S are exact.
+    """
+    q = np.arange(2 * M) % M
+    sines = np.sin(np.pi * np.minimum(q, M - q) / M)
+    sines[M:] *= -1.0
+    k = np.arange(M + 1)
+    S = sines[np.outer(k, k) % (2 * M)]
+    folded = S * (1.0 - np.sin(0.5 * np.pi * k / M) ** 2 / 3.0)
+    folded[[0, -1]] = S[[1, -2]] / 12.0
+    for a in (S, folded):
+        a.flags.writeable = False
+    return S, folded
+
+
+def _sine(v: np.ndarray, average: bool = False) -> np.ndarray:
     """DST-I of the interior entries of ``v`` along its last axis.
 
-    Entry m of the result, 0 < m < M, is sum_{0<i<M} v_i sin(pi m i / M):
-    minus half the imaginary part of the real FFT of the odd extension
-    (0, v_1, ..., v_{M-1}, 0, -v_{M-1}, ..., -v_1).  Boundary entries of
-    ``v`` are ignored and come out as +0.0.  The transform is its own
-    inverse up to a factor: ``_sine(_sine(v)) * (2 / M)`` restores the
-    interior of ``v``.
+    Entry m of the result, 0 < m < M, is sum_{0<i<M} v_i sin(pi m i / M).
+    Boundary entries of ``v`` are ignored and come out as +0.0.  The
+    transform is its own inverse up to a factor: ``_sine(_sine(v)) *
+    (2 / M)`` restores the interior of ``v``.  With ``average``, the
+    transform is of ``apply_compact(v)``, boundary values included.
+
+    While a basis of ``_sine_bases`` fits in ``_CHUNK_BYTES`` (M <= 255),
+    the result is one matrix product with it.  Wider grids take minus
+    half the imaginary part of the real FFT of the odd extension
+    (0, v_1, ..., v_{M-1}, 0, -v_{M-1}, ..., -v_1).  Either way each row
+    of ``v`` is transformed on its own.
     """
     m = v.shape[-1] - 1
+    if (m + 1) * (m + 1) * 8 <= _CHUNK_BYTES:
+        plain, folded = _sine_bases(m)
+        out = v @ folded if average else v[..., 1:m] @ plain[1:m]
+        # Adding +0.0 turns the -0.0 that an all-zero input gives into +0.0.
+        out += 0.0
+        return out
+    if average:
+        v = apply_compact(v)
     odd = np.zeros(v.shape[:-1] + (2 * m,))
     odd[..., 1:m] = v[..., 1:m]
     odd[..., m + 1 :] = -v[..., m - 1 : 0 : -1]
     out = np.zeros(v.shape)
-    # Adding +0.0 turns the -0.0 that an all-zero input gives into +0.0.
     out[..., 1:m] = np.fft.rfft(odd)[..., 1:m].imag * -0.5 + 0.0
     return out
 
@@ -262,13 +310,15 @@ def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) 
     dst += part
 
 
-def _block_weights(levels, b, e, lo, scheme, kappa, unit, fit, h, s):
+def _block_weights(levels, b, e, lo, scheme, integrals, fit, h, s):
     """The weights of levels b..e-1 on ``levels``, from the window start lo >= 1.
 
-    Returns (step, w, den, lev, absorb):
+    ``integrals[i, k]`` is the step integral c_(lo+k) of level b + i, in
+    the units of ``levels``, and zero past that level.  Returns (step, w,
+    den, lev, absorb):
 
     * step[i, k], the weight e_(lo+k) of step lo + k in level n = b + i,
-      ``unit`` times c_(lo+k) (divided by tau_(lo+k) for L1), zero past n;
+      integrals[i, k] (divided by tau_(lo+k) for L1), zero past n;
     * w[i, c], the weight of row j = lo - 1 + c in level n: theta e_lo for
       c = 0, then theta (e_(j+1) +- e_j) through row n (its own term) and
       zero past it;
@@ -283,9 +333,7 @@ def _block_weights(levels, b, e, lo, scheme, kappa, unit, fit, h, s):
     theta, combine = _ENDS[scheme]
     t, l1 = levels.t, scheme is SchemeKind.L1
     tau = np.diff(t[lo - 1 : e])
-    step = weights_row(kappa, levels, b, e, lo - 1) * unit
-    if l1:
-        step /= tau
+    step = integrals / tau if l1 else integrals
     w = np.zeros((e - b, step.shape[1] + 1))
     w[:, :-1] = step
     combine(w[:, 1:], step, out=w[:, 1:])
@@ -343,9 +391,10 @@ def solve(
     # forcing z, which holds F_j (the transformed H f_j) before the march
     # and F_j + gain u^j once level j is solved.  The forcing is sampled
     # into row n of u (closed forms, from n = 1) or of z (from n = 0) in
-    # blocks of rows whose temporaries (odd extension, spectrum, result:
-    # about 64 M bytes a row) stay near ``_CHUNK_BYTES``; H and the
-    # transform then run on the whole block.
+    # blocks of rows whose temporaries (by FFT the odd extension, spectrum
+    # and result, about 64 M bytes a row; with the basis the product, 8 M)
+    # stay near ``_CHUNK_BYTES``; H and the transform then run on the
+    # whole block.
     rows = max(1, _CHUNK_BYTES // (64 * M))
     z = None if l1 or problem.exact_f_conv is not None else np.zeros_like(u)
     src, scale = (u, gain) if z is None else (z, 1.0)
@@ -360,7 +409,7 @@ def solve(
             # which converts each f call's t with float(), takes a column.
             for i, t in enumerate(mesh.t[c : c + rows].tolist()):
                 block[i] = problem.f(x, t)
-        block[:] = _sine(apply_compact(block))
+        block[:] = _sine(block, average=True)
     if z is not None:
         z[0] += gain * u[0]
 
@@ -383,8 +432,14 @@ def solve(
         states = np.zeros((len(rate), M + 1))
     inverse = None
     if uniform:
+        # The one-off block's step integrals depend only on the lag, so
+        # each level's row is its last level's, shifted left by the levels
+        # between them and padded with zeros.
+        row = weights_row(kappa, levels, width + height)
+        pad = np.concatenate((row, np.zeros(height - 1)))
+        integrals = np.lib.stride_tricks.sliding_window_view(pad, row.size)[::-1] * unit
         step, near, den, lev, absorb = _block_weights(
-            levels, width + 1, width + height + 1, 1, scheme, kappa, unit, fit, h, s
+            levels, width + 1, width + height + 1, 1, scheme, integrals, fit, h, s
         )
         # Row lo - 1 weighs share[n - lo] in level n, and a row k levels
         # back weighs lag[k].  Level n solves (rhs + scale T^n) / den.
@@ -403,7 +458,8 @@ def solve(
         if uniform:
             part, w = share[b - lo : e - lo], near[: e - b, width - (b - lo) :]
         else:
-            _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, kappa, 1.0, fit, h, s)
+            integrals = weights_row(kappa, mesh, b, e, lo - 1)
+            _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, integrals, fit, h, s)
             part, w, factor = w[:, 0], w[:, 1:], scale / den
         u[b:e] += base
         u[b:e] += part[:, None] * (scale * src[lo - 1])

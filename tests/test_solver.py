@@ -9,7 +9,7 @@ import pytest
 import fracheat.solver
 from fracheat.harness import max_lattice_error
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
-from fracheat.operators import norm_energy
+from fracheat.operators import apply_compact, norm_energy
 from fracheat.problems import ProblemSpec, manufactured_sin, sine_decay, zero_problem
 from fracheat.quadrature import weights_row
 from fracheat.solver import (
@@ -30,6 +30,12 @@ def _use_small_blocks(monkeypatch):
     rows (1 for the last of N = 40)."""
     monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
     monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 3 * 64 * 8)
+
+
+# The transform paths of ``_sine`` at M = 8: the default ``_CHUNK_BYTES``,
+# where its (M + 1)**2 doubles of basis fit (one product per block of
+# rows), and 64 M bytes, where they do not (the FFT, one row per block).
+_TRANSFORM_PATHS = [pytest.param(None, id="basis"), pytest.param(64 * 8, id="fft")]
 
 
 def _dense_march(problem, M, mesh, scheme):
@@ -173,6 +179,12 @@ class TestBothSchemes:
             (SchemeKind.L1, False, 0.5, 2.0, True, 8, 6),
             (SchemeKind.L1, False, 0.25, 3.0, True, 64, 40),
             (SchemeKind.L1, True, 0.75, 2.0, True, 8, 6),
+            # The widest grid transformed by the sine basis, and the
+            # narrowest by FFT.
+            (SchemeKind.TRANSFORMED, True, 0.5, 1.0, False, 255, 6),
+            (SchemeKind.TRANSFORMED, False, 0.5, 2.0, True, 256, 6),
+            (SchemeKind.L1, True, 0.25, 2.0, True, 255, 6),
+            (SchemeKind.L1, False, 0.75, 1.0, True, 256, 6),
         ],
     )
     def test_march_matches_dense_oracle(
@@ -326,6 +338,33 @@ class TestBothSchemes:
             solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4000), scheme)
             assert len(row_calls) == rows
 
+    @pytest.mark.parametrize("N", [1, 5, 40, 4000])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_uniform_step_integrals_are_one_row_gathered_by_lag(self, monkeypatch, scheme, N):
+        # The one-off block of a uniform mesh, from one row of weights_row
+        # (its last level's), is bit for bit the block weights_row gives,
+        # zeros past each level included.
+        rows, blocks = [], []
+        row, block_weights = fracheat.solver.weights_row, fracheat.solver._block_weights
+
+        def counted_row(*args):
+            rows.append(args)
+            return row(*args)
+
+        def recorded(levels, b, e, lo, scheme, integrals, *rest):
+            blocks.append((levels, b, e, lo, np.array(integrals)))
+            return block_weights(levels, b, e, lo, scheme, integrals, *rest)
+
+        monkeypatch.setattr(fracheat.solver, "weights_row", counted_row)
+        monkeypatch.setattr(fracheat.solver, "_block_weights", recorded)
+        alpha = 0.5
+        solve(manufactured_sin(alpha), SpatialGrid(8), uniform_time_mesh(1.0, N), scheme)
+        (levels, b, e, lo, got), = blocks
+        assert len(rows) == 1 and rows[0][2:] == (e - 1,)
+        kappa = 1.0 - alpha if scheme is SchemeKind.L1 else alpha
+        unit = (1.0 / N) ** (kappa - 1.0 if scheme is SchemeKind.L1 else kappa)
+        assert np.array_equal(got, row(kappa, levels, b, e, lo - 1) * unit)
+
     @pytest.mark.parametrize("closed_form", [True, False])
     def test_graded_kernel_weights_stay_within_the_window(self, monkeypatch, closed_form):
         # No quadratic path: each block of levels gets the exact weights of
@@ -355,6 +394,7 @@ class TestBothSchemes:
             (2.0, SchemeKind.L1),
         ],
     )
+    @pytest.mark.parametrize("chunk", _TRANSFORM_PATHS)
     @pytest.mark.parametrize("closed_form", [True, False])
     @pytest.mark.parametrize(
         "N, bad, window, block",
@@ -373,16 +413,20 @@ class TestBothSchemes:
         ],
     )
     def test_non_finite_forcing_names_the_first_bad_level(
-        self, monkeypatch, grading, scheme, closed_form, N, bad, window, block
+        self, monkeypatch, grading, scheme, closed_form, N, bad, window, block, chunk
     ):
         # Levels after the bad one are not finite either; a product that
         # carried any of them into an earlier level of its block, even with
-        # weight 0, would make that level the first bad one.
+        # weight 0, would make that level the first bad one.  With the FFT
+        # forced, no leaf inverse fits either, so every block is solved
+        # level by level.
         if window:
             _use_small_blocks(monkeypatch)
             monkeypatch.setattr(fracheat.solver, "_WINDOW", window)
         if block:
             monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
+        if chunk:
+            monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", chunk)
         base = manufactured_sin(0.5)
         mesh = graded_time_mesh(1.0, N, grading)
         t_bad = mesh.t[bad]
@@ -427,26 +471,35 @@ def _forcing_of(scheme, closed_form, wrap):
 class TestForcingBlocks:
     """Every level's forcing is sampled and transformed before the march."""
 
+    @pytest.mark.parametrize("chunk, rows", [(3 * 64 * 8, 3), (64 * 8, 1)], ids=["basis", "fft"])
     @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
     def test_forcing_sampled_once_per_level_before_the_first_merge(
-        self, monkeypatch, scheme, closed_form
+        self, monkeypatch, scheme, closed_form, chunk, rows
     ):
+        # Forcing blocks of 3 rows, whose transform is one product with the
+        # basis of M = 8 (648 bytes), or of 1 row, transformed by FFT.
         _use_small_blocks(monkeypatch)
+        monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", chunk)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", 4)
         log = []
 
         def logged(name, fn):
-            def call(*args):
+            def call(*args, **kwargs):
                 if name == "_add_products" and len(args[0]) > fracheat.solver._BLOCK:
                     # Only the states have more rows than a block.
                     log.append(("state update", None))
+                elif name == "_sine":
+                    log.append(("forcing transform" if kwargs.get("average") else name, None))
                 else:
                     log.append((name, args[1] if name in ("f", "exact_f_conv") else None))
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return call
 
-        for name in ("apply_compact", "_add_products"):
+        # Building a basis calls nothing that a solve with a cached one
+        # would not, so call counts repeat from solve to solve.
+        fracheat.solver._sine_bases.cache_clear()
+        for name in ("_sine", "_sine_bases", "apply_compact", "_add_products"):
             fn = getattr(fracheat.solver, name)
             monkeypatch.setattr(fracheat.solver, name, logged(name, fn))
         mesh = uniform_time_mesh(1.0, 40)
@@ -458,9 +511,9 @@ class TestForcingBlocks:
         sampled = "exact_f_conv" if closed_form and scheme is SchemeKind.TRANSFORMED else "f"
         times = [t for name, t in log if name == sampled]
         if sampled == "exact_f_conv":
-            # One call per block of 3 rows from t_1, the block's times as a
+            # One call per block of rows from t_1, the block's times as a
             # column.
-            assert len(times) == math.ceil(40 / 3)
+            assert len(times) == math.ceil(40 / rows)
             assert all(np.shape(t)[1:] == (1,) for t in times)
             np.testing.assert_array_equal(np.concatenate(times)[:, 0], mesh.t[1:])
         else:
@@ -468,10 +521,16 @@ class TestForcingBlocks:
             # for L1.
             assert times == list(mesh.t[1 if closed_form else 0 :])
         assert names.count("f") + names.count("exact_f_conv") == names.count(sampled)
-        # ceil(40 / 3) blocks of rows from t_1, or ceil(41 / 3) from t_0.
-        assert names.count("apply_compact") == 14
+        # One transform, with the compact average, per block of rows from
+        # t_1, or from t_0 with quadrature forcing.
+        assert names.count("forcing transform") == math.ceil((40 if closed_form else 41) / rows)
+        # Every transform on the basis path reads the basis, none by FFT;
+        # there the compact average runs once per forcing transform.
+        transforms = names.count("_sine") + names.count("forcing transform")
+        assert names.count("_sine_bases") == (transforms if rows == 3 else 0)
+        assert names.count("apply_compact") == (0 if rows == 3 else names.count("forcing transform"))
         march = names[names.index("_add_products") :]
-        assert sampled not in march and "apply_compact" not in march
+        assert sampled not in march and "forcing transform" not in march
         # One state update over one source per block that rows leave, at
         # the ends of the eight blocks of 4 levels from [5, 9) to [33, 37).
         assert names.count("state update") == 8
@@ -502,21 +561,36 @@ class TestForcingBlocks:
         assert all(type(t) is float for t in times)
         assert times == mesh.t[1 if l1 else 0 :].tolist()
 
+    @pytest.mark.parametrize("chunk", _TRANSFORM_PATHS)
     @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
-    def test_sine_runs_per_block_not_per_level(self, monkeypatch, scheme, closed_form):
-        # phi, the one block of forcing rows (from t_0 with quadrature
-        # forcing) and the one block back out.
-        shapes = []
-        sine = fracheat.solver._sine
+    def test_sine_runs_per_block_not_per_level(self, monkeypatch, scheme, closed_form, chunk):
+        # phi, the forcing rows (from t_0 with quadrature forcing) with the
+        # compact average, and the solved rows back out: one block each with
+        # the basis, one row per block by FFT.
+        if chunk:
+            monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", chunk)
+        calls, bases = [], []
+        sine, sine_bases = fracheat.solver._sine, fracheat.solver._sine_bases
 
-        def counted(v):
-            shapes.append(v.shape)
-            return sine(v)
+        def counted(v, average=False):
+            calls.append((v.shape, average))
+            return sine(v, average)
+
+        def counted_bases(M):
+            bases.append(M)
+            return sine_bases(M)
 
         monkeypatch.setattr(fracheat.solver, "_sine", counted)
+        monkeypatch.setattr(fracheat.solver, "_sine_bases", counted_bases)
         p = _forcing_of(scheme, closed_form, lambda name, fn: fn)
         solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 40), scheme)
-        assert shapes == [(9,), (40 if closed_form else 41, 9), (40, 9)]
+        rows_in = 40 if closed_form else 41
+        if chunk:
+            expected = [((9,), False)] + [((1, 9), True)] * rows_in + [((1, 9), False)] * 40
+        else:
+            expected = [((9,), False), ((rows_in, 9), True), ((40, 9), False)]
+        assert calls == expected
+        assert bases == ([] if chunk else [8] * 3)
 
     @pytest.mark.parametrize("grading", [1.0, 2.0])
     @pytest.mark.parametrize("closed_form", [True, False])
@@ -698,29 +772,93 @@ class TestUniformMeshTest:
             del rows[:]
 
 
+# Grids whose sine basis fits in ``_CHUNK_BYTES`` and those that take the FFT.
+_BASIS_M, _FFT_M = [2, 3, 8, 101, 255], [256, 2000]
+
+
+def _sine_on_its_path(v, average=False):
+    """``_sine(v, average)``, checking that it takes the basis exactly when
+    M <= 255."""
+    calls = []
+    sine_bases = fracheat.solver._sine_bases
+
+    def counted(M):
+        calls.append(M)
+        return sine_bases(M)
+
+    M = v.shape[-1] - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fracheat.solver, "_sine_bases", counted)
+        out = _sine(v, average)
+    assert calls == ([M] if M <= 255 else [])
+    return out
+
+
 class TestSineLevelSolve:
-    @pytest.mark.parametrize("M", [2, 3, 8, 101])
-    def test_sine_matches_its_definition(self, M):
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("M", _BASIS_M + _FFT_M)
+    def test_sine_matches_its_definition(self, M, average):
+        # With the average, boundary values reach the modes through rows 1
+        # and M - 1 of the compact average: v has nonzero ones.
         v = np.random.default_rng(M).standard_normal((2, M + 1))
         i = np.arange(1, M)
         S = np.sin(np.pi * np.outer(i, i) / M)
-        got = _sine(v)
-        np.testing.assert_allclose(got[:, 1:-1], v[:, 1:-1] @ S, rtol=0, atol=1e-12 * M)
+        got = _sine_on_its_path(v, average)
+        w = apply_compact(v) if average else v
+        np.testing.assert_allclose(got[:, 1:-1], w[:, 1:-1] @ S, rtol=0, atol=1e-12 * M)
         assert np.array_equal(got[:, [0, -1]], np.zeros((2, 2)))
+        assert not np.any(np.signbit(got[:, [0, -1]]))
 
-    @pytest.mark.parametrize("M", [2, 3, 8, 101, 2000])
+    @pytest.mark.parametrize("M", _BASIS_M)
+    def test_averaged_basis_is_the_transform_of_the_average(self, monkeypatch, M):
+        # The basis with H folded in against the FFT of apply_compact(v),
+        # for rows with nonzero boundary values.
+        v = np.random.default_rng(M).standard_normal((3, M + 1))
+        got = _sine_on_its_path(v, average=True)
+        monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 1)
+        ref = _sine(apply_compact(v))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * M)
+
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("M", _BASIS_M + _FFT_M)
+    def test_a_nan_row_leaves_the_other_rows_untouched(self, M, average):
+        # Row 1 has a NaN at node 1, which every mode reads; row 2 an
+        # infinity at a boundary node, which reaches its modes only through
+        # the average.
+        v = np.random.default_rng(M).standard_normal((4, M + 1))
+        clean = _sine_on_its_path(v, average)
+        v[1, 1] = np.nan
+        v[2, -1] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = _sine_on_its_path(v, average)
+        others = [0, 2, 3] if not average else [0, 3]
+        assert np.array_equal(got[others], clean[others])
+        assert np.isnan(got[1, 1:-1]).all()
+        if average:
+            assert not np.isfinite(got[2, 1:-1]).any()
+
+    @pytest.mark.parametrize("M", _BASIS_M + _FFT_M)
     def test_sine_is_its_own_inverse_with_positive_zero_ends(self, M):
         v = np.random.default_rng(M).standard_normal((3, M + 1))
-        back = _sine(_sine(v)) * (2.0 / M)
+        back = _sine_on_its_path(_sine_on_its_path(v)) * (2.0 / M)
         np.testing.assert_allclose(back[:, 1:-1], v[:, 1:-1], rtol=0, atol=1e-13)
         ends = back[:, [0, -1]]
         assert np.all(ends == 0.0) and not np.any(np.signbit(ends))
 
-    def test_zero_and_negative_zero_give_positive_zeros(self):
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("M", _BASIS_M + _FFT_M)
+    def test_zero_and_negative_zero_give_positive_zeros(self, M, average):
         # A -0.0 in a lattice would print as "-0" in ``fracheat run``.
-        for v in (np.zeros((2, 9)), np.full((2, 9), -0.0)):
-            out = _sine(v)
+        for v in (np.zeros((2, M + 1)), np.full((2, M + 1), -0.0), np.full(M + 1, -0.0)):
+            out = _sine_on_its_path(v, average)
+            assert out.shape == v.shape
             assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+    def test_sine_bases_are_cached_and_read_only(self):
+        S, folded = fracheat.solver._sine_bases(8)
+        assert fracheat.solver._sine_bases(8)[0] is S
+        assert not S.flags.writeable and not folded.flags.writeable
+        assert fracheat.solver._sine_bases.cache_info().maxsize <= 2
 
     @pytest.mark.parametrize("M", [8, 100, 2000])
     @pytest.mark.parametrize("level", ["transformed-uniform", "transformed-graded", "l1"])
