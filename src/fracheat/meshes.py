@@ -6,11 +6,20 @@ containers, so nonuniform meshes only ever have to be implemented here.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = ["SpatialGrid", "TemporalMesh", "uniform_time_mesh", "graded_time_mesh"]
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -31,6 +40,7 @@ class SpatialGrid:
     x: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "M", _count("M", self.M))
         if self.M < 2:
             raise ValueError(f"need at least 2 cells, got M={self.M}")
         object.__setattr__(self, "h", 1.0 / self.M)
@@ -73,9 +83,14 @@ class TemporalMesh:
 
 
 def _unit_levels(T: float, N: int) -> np.ndarray:
-    """Levels n/N, n = 0..N, of a mesh on [0, T], after checking T and N."""
+    """Levels n/N, n = 0..N, of a mesh on [0, T], after checking T and N.
+
+    N must be an integer: a fractional one would give int(N) + 1 steps of
+    1/N and move the last level past T.
+    """
     if not 0.0 < T < np.inf:
         raise ValueError(f"final time must be positive and finite, got T={T}")
+    N = _count("N", N)
     if N < 1:
         raise ValueError(f"need at least one step, got N={N}")
     return np.arange(N + 1, dtype=float) / N

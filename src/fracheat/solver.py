@@ -85,15 +85,16 @@ Within a block, level i still needs the block's earlier levels: per mode
 m, u_i = c_i + f_m sum_{j<i} lag_{i-j} u_j, with f_m = gain_m / den_m.
 On a uniform mesh that system is the same lower-triangular Toeplitz one
 in every block, so its inverse, G_0 = 1 and G_d = f_m sum_{k=1..d} lag_k
-G_{d-k}, is built once per solve for leaves of ``_LEAF`` levels.  A block
-is then solved a leaf at a time: one product adds the earlier leaves'
-rows and one batched product applies the inverse.  Graded meshes, whose
-system changes from block to block, wide grids (M > 255), where the
-inverse outgrows ``_CHUNK_BYTES`` (and by M = 2000 its per-mode products
-are slower than the loop's row products), and blocks whose right-hand
-side is not finite (the inverse's zeros would carry a NaN into earlier
-levels) are solved level by level instead, each level adding the rows
-solved before it in the block.  Either way no level reads a later one.
+G_{d-k}, is built once per solve for leaves of ``_LEAF`` levels.  Every
+block is solved a leaf at a time: one product adds the block's rows
+before the leaf, and where the inverse applies one batched product then
+solves the leaf.  Otherwise the leaves are one level each, which the
+product alone solves: on graded meshes, whose system changes from block
+to block, on wide grids (M > 255), where the inverse outgrows
+``_CHUNK_BYTES`` (and by M = 2000 its per-mode products are slower than
+row products), and in blocks whose right-hand side is not finite (the
+inverse's zeros would carry a NaN into earlier levels).  Either way no
+level reads a later one.
 
 The transforms mix nodes within a level but never across levels (a row
 of a product with the basis is one level), so a non-finite level can
@@ -124,13 +125,12 @@ __all__ = ["SchemeKind", "SolutionLattice", "solve"]
 _WINDOW = 128
 # Levels per block of the march: one matrix product adds the history from
 # before the block to all of its levels, which are then solved a leaf at a
-# time on a uniform mesh and one at a time otherwise (see the module
-# docstring).
+# time (see the module docstring).
 _BLOCK = 32
-# Levels per leaf of a block on a uniform mesh, which the per-mode inverse
-# solves at once.  The inverse holds (M + 1) * _LEAF**2 doubles and is used
-# only while that fits in ``_CHUNK_BYTES`` (M <= 255); at 32 levels it
-# would outgrow the working memory ``solve`` is allowed.
+# Levels per leaf that the per-mode inverse solves at once (other leaves are
+# one level).  The inverse holds (M + 1) * _LEAF**2 doubles, so it is built on
+# a uniform mesh only while that fits in ``_CHUNK_BYTES`` (M <= 255); at 32
+# levels it would outgrow the working memory ``solve`` is allowed.
 _LEAF = 16
 # Working memory of one block of rows of the forcing transform or of the
 # final sine transform, in bytes.  It also bounds each of the two cached
@@ -384,8 +384,10 @@ def solve(
     kappa = 1.0 - alpha if l1 else alpha
     theta, combine = _ENDS[scheme]
     # Level n's coefficients are (base + F^n + T^n) / den, with T^n its
-    # history sum and F^n the transformed H forcing.
+    # history sum and F^n the transformed H forcing.  ``gain`` is kept as one
+    # row, so that it meets a leaf's rows without a broadcast at each leaf.
     gain, base = (eta, 0.0) if l1 else (-4.0 * s / (h * h), eta * u[0])
+    gain = gain[None, :]
 
     # The history source is u, scaled by ``gain``, or with quadrature
     # forcing z, which holds F_j (the transformed H f_j) before the march
@@ -411,7 +413,7 @@ def solve(
                 block[i] = problem.f(x, t)
         block[:] = _sine(block, average=True)
     if z is not None:
-        z[0] += gain * u[0]
+        z[:1] += gain * u[:1]
 
     # Blocks [b, e) start at 1, the last at last + 1.  The states are set
     # up only if a step leaves the window before the last block; a uniform
@@ -442,12 +444,13 @@ def solve(
             levels, width + 1, width + height + 1, 1, scheme, integrals, fit, h, s
         )
         # Row lo - 1 weighs share[n - lo] in level n, and a row k levels
-        # back weighs lag[k].  Level n solves (rhs + scale T^n) / den.
+        # back weighs entry k of the last row of ``near`` reversed.  Level n
+        # solves (rhs + scale T^n) / den.
         share, near = theta * step[-1, ::-1], near[:, 1:]
-        lag, factor = near[-1, ::-1], np.broadcast_to(scale / den[:1], (height, M + 1))
+        factor = np.broadcast_to(scale / den[:1], (height, M + 1))
         if (M + 1) * _LEAF * _LEAF * 8 <= _CHUNK_BYTES:
             leaf = min(_LEAF, height)
-            inverse = _leaf_inverse(lag, gain / den[0], leaf)
+            inverse = _leaf_inverse(near[-1, ::-1], gain[0] / den[0], leaf)
 
     # In a block [b, e), row i of ``w`` weighs row j >= lo of the source in
     # level b + i at column j - lo, and part[i] row lo - 1.  The states
@@ -467,31 +470,25 @@ def solve(
         if lo > 1:
             _add_products(u[b:e], lev[: e - b], states, scale)
         u[b:e] /= den[: e - b]
-        # A NaN in the block's rows, or in its F rows that the leaf
-        # products read, would reach earlier levels through zero weights.
+        # Leaves of ``leaf`` levels where the inverse applies, else of one
+        # level: a NaN in the block's rows, or in the F rows that the leaf
+        # products read, would reach earlier levels through its zeros.
         leaves = inverse is not None and np.isfinite(u[b:e]).all()
-        if leaves and (z is None or np.isfinite(z[b:e]).all()):
-            for c in range(b, e, leaf):
-                d = min(c + leaf, e)
-                # The block's rows before the leaf, solved, and with
-                # quadrature forcing also the leaf's own z rows, which
-                # still hold F_j: each level's own F_n with weight e_n / 2.
-                hi = c if z is None else d
-                if hi > b:
-                    _add_products(
-                        u[c:d], w[c - b : d - b, b - lo : hi - lo], src[b:hi], factor[c - b : d - b]
-                    )
+        leaves = leaves and (z is None or np.isfinite(z[b:e]).all())
+        for c in range(b, e, leaf if leaves else 1):
+            d = min(c + leaf, e) if leaves else c + 1
+            # The block's rows before the leaf, solved, and with quadrature
+            # forcing also the leaf's own z rows, which still hold F_j: each
+            # level's own F_n with weight e_n / 2.
+            hi = c if z is None else d
+            if hi > b:
+                _add_products(
+                    u[c:d], w[c - b : d - b, b - lo : hi - lo], src[b:hi], factor[c - b : d - b]
+                )
+            if leaves:
                 u[c:d] = np.matmul(u[c:d].T[:, None, :], inverse[:, : d - c, : d - c])[:, 0].T
-                if z is not None:
-                    z[c:d] += gain * u[c:d]
-        else:
-            for i, n in enumerate(range(b, e)):
-                # With quadrature forcing, row n's own F_n too.
-                hi = n if z is None else n + 1
-                if hi > b:
-                    u[n] += factor[i] * (w[i, b - lo : hi - lo] @ src[b:hi])
-                if z is not None:
-                    z[n] += gain * u[n]
+            if z is not None:
+                z[c:d] += gain * u[c:d]
         out = e - _WINDOW
         if out > lo and e <= N:
             # Steps lo..out-1 leave the window: the states decay to

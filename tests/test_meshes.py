@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracheat.harness import SweepConfig, run_sweep
 from fracheat.meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_mesh
 
 
@@ -18,6 +19,17 @@ class TestSpatialGrid:
     def test_rejects_single_cell(self):
         with pytest.raises(ValueError):
             SpatialGrid(1)
+
+    @pytest.mark.parametrize("M", [8.5, 8.0, np.float64(8.0), "8", None])
+    def test_rejects_a_non_integer_cell_count(self, M):
+        with pytest.raises(ValueError, match=r"M must be an integer, got M="):
+            SpatialGrid(M)
+
+    @pytest.mark.parametrize("M", [np.int32(8), np.int64(8), np.uint8(8)])
+    def test_numpy_integer_cell_count_is_an_int(self, M):
+        g = SpatialGrid(M)
+        assert g.M == 8 and type(g.M) is int
+        np.testing.assert_array_equal(g.x, SpatialGrid(8).x)
 
     def test_nodes_are_read_only(self):
         g = SpatialGrid(4)
@@ -53,6 +65,19 @@ class TestUniformMesh:
     def test_rejects_non_finite_final_time(self, T):
         with pytest.raises(ValueError, match="final time"):
             uniform_time_mesh(T, 4)
+
+
+    @pytest.mark.parametrize("N", [10.5, 10.0, np.float64(10.0), "10", None])
+    def test_rejects_a_non_integer_step_count(self, N):
+        # 10.5 used to give 12 levels of 1/10.5, the last at 1.0476.
+        with pytest.raises(ValueError, match=r"N must be an integer, got N="):
+            uniform_time_mesh(1.0, N)
+
+    @pytest.mark.parametrize("N", [np.int32(10), np.int64(10), np.uint16(10)])
+    def test_numpy_integer_step_count_is_accepted(self, N):
+        m = uniform_time_mesh(1.0, N)
+        assert m.N == 10
+        np.testing.assert_array_equal(m.t, uniform_time_mesh(1.0, 10).t)
 
 
 class TestGradedMesh:
@@ -93,6 +118,19 @@ class TestGradedMesh:
     def test_rejects_non_finite(self, T, r, cause):
         with pytest.raises(ValueError, match=cause):
             graded_time_mesh(T, 4, r)
+
+
+    @pytest.mark.parametrize("N", [4.2, 4.0])
+    def test_rejects_a_non_integer_step_count(self, N):
+        # 4.2 used to end the mesh at T = 2.83 instead of 2.
+        with pytest.raises(ValueError, match=r"N must be an integer, got N=4\.[02]"):
+            graded_time_mesh(2.0, N, 2.0)
+
+    def test_a_sweep_of_a_non_integer_step_count_is_refused(self):
+        # The report would have said T = 1 for a mesh ending at 1.0476.
+        config = SweepConfig(alphas=(0.5,), M=8, Ns=(10.5,))
+        with pytest.raises(ValueError, match=r"N must be an integer, got N=10\.5"):
+            run_sweep(config)
 
 
 class TestTemporalMeshValidation:

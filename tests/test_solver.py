@@ -221,7 +221,7 @@ class TestBothSchemes:
         # than 4 levels before a block reach it through the states, which
         # absorb 2 or 3 rows per block.  The last block is cut off by N; one
         # of 32 holds the whole march and builds no states.  No leaf inverse
-        # fits in one byte, so each block is solved level by level.
+        # fits in one byte, so every leaf of every block is one level.
         monkeypatch.setattr(fracheat.solver, "_WINDOW", 4)
         monkeypatch.setattr(fracheat.solver, "_BLOCK", block)
         monkeypatch.setattr(fracheat.solver, "_CHUNK_BYTES", 1)
@@ -399,6 +399,10 @@ class TestBothSchemes:
     @pytest.mark.parametrize(
         "N, bad, window, block",
         [
+            # f turns NaN at t_0.  With quadrature forcing that is row 0 of
+            # z, which level 1 is the first to read; closed forms are
+            # sampled from level 1.
+            (8, 0, None, None),
             # Level 3 is inside the one block [1, 9).
             (8, 3, None, None),
             # Level 14 is inside the block [1, 33) and the fifth forcing
@@ -418,8 +422,7 @@ class TestBothSchemes:
         # Levels after the bad one are not finite either; a product that
         # carried any of them into an earlier level of its block, even with
         # weight 0, would make that level the first bad one.  With the FFT
-        # forced, no leaf inverse fits either, so every block is solved
-        # level by level.
+        # forced, no leaf inverse fits either, so every leaf is one level.
         if window:
             _use_small_blocks(monkeypatch)
             monkeypatch.setattr(fracheat.solver, "_WINDOW", window)
@@ -439,17 +442,31 @@ class TestBothSchemes:
             p = dataclasses.replace(p, exact_f_conv=poisoned(base.exact_f_conv))
         else:
             p = dataclasses.replace(p, exact_f_conv=None)
-        message = rf"level {bad} \(t = {t_bad:g}\) is not finite.*forcing"
+        named = max(bad, 1)
+        message = rf"level {named} \(t = {mesh.t[named]:g}\) is not finite.*forcing"
         with pytest.raises(ValueError, match=message):
             solve(p, SpatialGrid(8), mesh, scheme)
 
-    def test_non_finite_initial_data_is_level_zero(self):
-        base = sine_decay(0.5)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("problem", [sine_decay, manufactured_sin])
+    @pytest.mark.parametrize(
+        "scheme, closed_form",
+        [(SchemeKind.TRANSFORMED, True), (SchemeKind.L1, True), (SchemeKind.TRANSFORMED, False)],
+    )
+    def test_non_finite_initial_data_is_level_zero(
+        self, scheme, closed_form, problem, grading, value
+    ):
+        # Every later level reads phi, so each is not finite either; level
+        # 0 is phi as sampled.
+        base = problem(0.5)
         p = dataclasses.replace(
-            base, exact_u=None, phi=lambda x: np.where(x == 0.5, np.nan, base.phi(x))
+            base, exact_u=None, phi=lambda x: np.where(x == 0.5, value, base.phi(x))
         )
+        if not closed_form:
+            p = dataclasses.replace(p, exact_f_conv=None)
         with pytest.raises(ValueError, match=r"level 0 \(t = 0\).*initial data"):
-            solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4))
+            solve(p, SpatialGrid(8), graded_time_mesh(1.0, 40, grading), scheme)
 
 # Both schemes with closed-form forcing, and transformed with quadrature.
 _FORCINGS = [
@@ -643,14 +660,10 @@ def _random_problem(alpha, M, closed_form, seed):
     )
 
 
-def _by_leaves_and_by_levels(monkeypatch, problem, M, mesh, scheme):
-    """The lattices of the two in-block paths.
-
-    The first must build one leaf inverse and apply it once per leaf of
-    every block (``np.matmul`` runs nowhere else in ``solve``), the second
-    none: a leaf of 2**20 levels outgrows ``_CHUNK_BYTES``, which forces
-    the level-by-level path.
-    """
+def _leaf_work(monkeypatch):
+    """Lists that record, during the solves that follow, the size of every
+    leaf inverse built and one entry per application of one (``np.matmul``
+    runs nowhere else in ``solve``)."""
     sizes, applied = [], []
     inverse, matmul = fracheat.solver._leaf_inverse, np.matmul
 
@@ -664,6 +677,17 @@ def _by_leaves_and_by_levels(monkeypatch, problem, M, mesh, scheme):
 
     monkeypatch.setattr(fracheat.solver, "_leaf_inverse", recorded)
     monkeypatch.setattr(np, "matmul", counted)
+    return sizes, applied
+
+
+def _by_leaves_and_by_levels(monkeypatch, problem, M, mesh, scheme):
+    """The lattices of the two leaf sizes.
+
+    The first must build one leaf inverse and apply it once per leaf of
+    every block, the second none: a leaf of 2**20 levels outgrows
+    ``_CHUNK_BYTES``, so every leaf is one level.
+    """
+    sizes, applied = _leaf_work(monkeypatch)
     N, block = mesh.N, fracheat.solver._BLOCK
     leaf = min(fracheat.solver._LEAF, block, N)
     leaves = solve(problem, SpatialGrid(M), mesh, scheme).values
@@ -678,7 +702,7 @@ def _by_leaves_and_by_levels(monkeypatch, problem, M, mesh, scheme):
 
 
 class TestInBlockPaths:
-    """Uniform blocks solved by leaf inverse agree with level by level."""
+    """Uniform blocks solved by leaf inverse agree with one-level leaves."""
 
     @pytest.mark.parametrize("M", [2, 8, 100])
     @pytest.mark.parametrize("N", [1, 5, 16, 17, 40, 300])
@@ -695,12 +719,47 @@ class TestInBlockPaths:
         )
         assert np.max(np.abs(leaves - levels)) <= 1e-12 * np.max(np.abs(levels))
 
+    @pytest.mark.parametrize(
+        "M, mesh",
+        [(8, graded_time_mesh(1.0, 200, 2.0)), (256, uniform_time_mesh(1.0, 40))],
+        ids=["graded", "M=256"],
+    )
+    @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
+    def test_graded_and_wide_solves_take_one_level_leaves(
+        self, monkeypatch, scheme, closed_form, M, mesh
+    ):
+        # A graded mesh's system changes from block to block (and past the
+        # window the states start), and at M = 256 the inverse outgrows
+        # ``_CHUNK_BYTES``.
+        sizes, applied = _leaf_work(monkeypatch)
+        p = _forcing_of(scheme, closed_form, lambda name, fn: fn)
+        got = solve(p, SpatialGrid(M), mesh, scheme)
+        assert sizes == applied == []
+        assert np.isfinite(got.values).all()
+
+    @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
+    def test_leaves_after_a_nan_are_one_level(self, monkeypatch, scheme, closed_form):
+        # The forcing turns NaN at level 45, in the block [33, 65): only
+        # the two leaves of the block [1, 33) take the inverse.  One-level
+        # leaves apply none, not even a 1 x 1 one.
+        mesh = uniform_time_mesh(1.0, 80)
+        t_bad = mesh.t[45]
+
+        def poisoned(name, fn):
+            return lambda x, t: fn(x, t) + np.where(t >= t_bad, np.nan, 0.0)
+
+        sizes, applied = _leaf_work(monkeypatch)
+        with pytest.raises(ValueError, match=rf"level 45 \(t = {t_bad:g}\) is not finite"):
+            solve(_forcing_of(scheme, closed_form, poisoned), SpatialGrid(8), mesh, scheme)
+        assert sizes == [fracheat.solver._LEAF]
+        assert len(applied) == 2
+
     def test_l1_with_a_large_lambda_stays_finite(self, monkeypatch):
         # lambda = 1 / (Gamma(1.01) tau**0.99) is about 1.8e4, and about
         # 1.2e24 at T = 1e-20: there entry M's gain lambda * 2/3 over its
         # placeholder denominator 1 would overflow G from level 13 of a
-        # leaf on, and the NaN of 0 times that would send every later
-        # block down the level-by-level path.
+        # leaf on, and the NaN of 0 times that would leave every later
+        # block to one-level leaves.
         for T in (1.0, 1e-20):
             leaves, levels = _by_leaves_and_by_levels(
                 monkeypatch, manufactured_sin(0.99), 8, uniform_time_mesh(T, 20_000), SchemeKind.L1
