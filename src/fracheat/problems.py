@@ -15,7 +15,6 @@ quadrature forcing is 2 to 12 times more accurate (alpha 0.25 to 0.9).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -36,18 +35,27 @@ __all__ = [
 SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 
 
-# sin(pi x) of the last 8 distinct grids, shared read-only.  The key is the
-# values of x, not the array, whose owner may change it in place.
-@functools.lru_cache(maxsize=8)
-def _sin_pi_of(key: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    profile = np.sin(np.pi * np.frombuffer(key)).reshape(shape)
-    profile.flags.writeable = False
-    return profile
+# sin(pi x) of the 8 grids used last, most recent first, shared read-only.
+# An entry matches the shape and the bytes of x: its values, not the array,
+# whose owner may change it in place.  The bytes are compared, never hashed,
+# so a hit costs one copy and one comparison of M + 1 doubles.
+_PROFILES: list[tuple[tuple[int, ...], bytes, np.ndarray]] = []
 
 
 def _sin_pi(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return _sin_pi_of(x.tobytes(), x.shape)
+    key = x.tobytes()
+    for i, entry in enumerate(_PROFILES):
+        if entry[0] == x.shape and entry[1] == key:
+            if i:
+                _PROFILES.insert(0, _PROFILES.pop(i))
+            return entry[2]
+    # The sine of a 1-d copy, reshaped: np.sin of a 0-d array is a scalar.
+    profile = np.sin(np.pi * np.frombuffer(key)).reshape(x.shape)
+    profile.flags.writeable = False
+    _PROFILES.insert(0, (x.shape, key, profile))
+    del _PROFILES[8:]
+    return profile
 
 
 def _zeros(x: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -70,8 +78,9 @@ class ProblemSpec:
     (k, M+1), row i holding the integral at t[i].  Construction checks
     that shape, not the values, with five nodes and a column of two times.
 
-    The built-in problems compute sin(pi x) once per grid, not per call;
-    each call still returns a fresh array, under the same protocol.
+    The built-in problems compute sin(pi x) once per grid, not per call,
+    and keep it for the 8 grids used last, found by comparing the bytes of
+    x; each call still returns a fresh array, under the same protocol.
     """
 
     alpha: float

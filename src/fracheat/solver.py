@@ -58,7 +58,8 @@ joins the left-hand side.  The schemes are:
 
 A block of ``_BLOCK`` levels from b gets the exact weights of its own rows
 and of the W = ``_WINDOW`` rows lo = b - W..b-1 before it (lo = 1 while
-b <= W + 1), and row lo - 1 its share theta e_lo of step lo.  The older
+b <= W + 1), and row lo - 1 its share theta e_lo of step lo, as one more
+source row of the same window product.  The older
 steps reach it through a sum of exponentials: ``_exp_sum`` fits
 t**(kappa-1) by sum_l w_l exp(-s_l t) to about 1e-13 relative on
 [delta, t_N], delta the shortest span of W steps, so step k weighs
@@ -76,7 +77,9 @@ calls it once per block.  On a uniform mesh (steps equal to the rounding
 of the levels) they depend only on lags, so it runs once, in units of the
 step (integer levels, weights times tau**kappa, or tau**(kappa-1) for
 L1), on one block a full window past the start, and every block slices
-that block; the shares of row lo - 1 by lag come from its last level.
+that block.  A full window's share column is the one-off block's first;
+a shorter one, from lo = 1, takes the shares of row 0 by lag from the
+one-off block's last level.
 That block's step integrals are gathered by lag from one row of
 ``weights_row``, its last level's: the integer levels subtract exactly,
 so the gathered block is the one ``weights_row`` would give.
@@ -302,11 +305,13 @@ def _decay(rate: np.ndarray, dt) -> np.ndarray:
 def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) -> None:
     """Add ``weights @ src``, times ``scale`` (a float or one per column), to ``dst``.
 
-    One matrix product over all columns: ``src`` is at most W + B window
-    rows, the states or one block of rows, so its product stays small.
+    One matrix product over all columns: ``src`` is at most W + 1 window
+    rows (from lo - 1), the states or one block of rows, so its product
+    stays small.  A unit float ``scale`` multiplies nothing.
     """
     part = weights @ src
-    part *= scale
+    if not (isinstance(scale, float) and scale == 1.0):
+        part *= scale
     dst += part
 
 
@@ -356,6 +361,18 @@ def _block_weights(levels, b, e, lo, scheme, integrals, fit, h, s):
     return step, w, den, _decay(rate, t[b:e] - t[lo - 1]).T, absorb
 
 
+def _check_finite(levels: np.ndarray, n: int, mesh: TemporalMesh) -> None:
+    """Raise ValueError naming the first of the ``levels`` n, n + 1, ...
+    (rows, or one level as a row) that is not finite."""
+    finite = np.isfinite(levels).all(axis=-1)
+    if not finite.all():
+        n += int(np.argmin(finite))
+        raise ValueError(
+            f"solution level {n} (t = {mesh.t[n]:g}) is not finite: the forcing "
+            "or the initial data is not finite, or too large, up to that time"
+        )
+
+
 # A level that overflows or turns NaN is reported by name below, so numpy's
 # warnings about it (from the forcing, the products or the transforms)
 # would only repeat that.
@@ -384,9 +401,10 @@ def solve(
     kappa = 1.0 - alpha if l1 else alpha
     theta, combine = _ENDS[scheme]
     # Level n's coefficients are (base + F^n + T^n) / den, with T^n its
-    # history sum and F^n the transformed H forcing.  ``gain`` is kept as one
-    # row, so that it meets a leaf's rows without a broadcast at each leaf.
-    gain, base = (eta, 0.0) if l1 else (-4.0 * s / (h * h), eta * u[0])
+    # history sum, F^n the transformed H forcing and no base for L1.
+    # ``gain`` is kept as one row, so that it meets a leaf's rows without a
+    # broadcast at each leaf.
+    gain, base = (eta, None) if l1 else (-4.0 * s / (h * h), eta * u[0])
     gain = gain[None, :]
 
     # The history source is u, scaled by ``gain``, or with quadrature
@@ -443,30 +461,34 @@ def solve(
         step, near, den, lev, absorb = _block_weights(
             levels, width + 1, width + height + 1, 1, scheme, integrals, fit, h, s
         )
-        # Row lo - 1 weighs share[n - lo] in level n, and a row k levels
-        # back weighs entry k of the last row of ``near`` reversed.  Level n
-        # solves (rhs + scale T^n) / den.
-        share, near = theta * step[-1, ::-1], near[:, 1:]
+        # Row lo - 1 weighs share[n - lo] in level n, and a row k >= 1
+        # levels back weighs entry k of the last row of ``near`` reversed.
+        # Level n solves (rhs + scale T^n) / den.
+        share = theta * step[-1, ::-1]
         factor = np.broadcast_to(scale / den[:1], (height, M + 1))
         if (M + 1) * _LEAF * _LEAF * 8 <= _CHUNK_BYTES:
             leaf = min(_LEAF, height)
-            inverse = _leaf_inverse(near[-1, ::-1], gain[0] / den[0], leaf)
+            inverse = _leaf_inverse(near[-1, :0:-1], gain[0] / den[0], leaf)
 
-    # In a block [b, e), row i of ``w`` weighs row j >= lo of the source in
-    # level b + i at column j - lo, and part[i] row lo - 1.  The states
-    # hold the steps before lo, referenced to t_(lo-1).
+    # In a block [b, e), row i of ``w`` weighs row j >= lo - 1 of the
+    # source in level b + i at column j - lo + 1: column 0 is row lo - 1's
+    # share.  The states hold the steps before lo, referenced to t_(lo-1).
     for b in range(1, N + 1, _BLOCK):
         e = min(b + _BLOCK, N + 1)
         lo = max(1, b - _WINDOW)
         if uniform:
-            part, w = share[b - lo : e - lo], near[: e - b, width - (b - lo) :]
+            # A full window starts where the one-off block's does, at its
+            # share column; a shorter one (lo = 1) is given its share.
+            w = near[: e - b, width - (b - lo) :]
+            if b - lo < width:
+                w = np.concatenate((share[b - lo : e - lo, None], w[:, 1:]), axis=1)
         else:
             integrals = weights_row(kappa, mesh, b, e, lo - 1)
             _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, integrals, fit, h, s)
-            part, w, factor = w[:, 0], w[:, 1:], scale / den
-        u[b:e] += base
-        u[b:e] += part[:, None] * (scale * src[lo - 1])
-        _add_products(u[b:e], w[:, : b - lo], src[lo:b], scale)
+            factor = scale / den
+        if base is not None:
+            u[b:e] += base
+        _add_products(u[b:e], w[:, : b - lo + 1], src[lo - 1 : b], scale)
         if lo > 1:
             _add_products(u[b:e], lev[: e - b], states, scale)
         u[b:e] /= den[: e - b]
@@ -483,7 +505,10 @@ def solve(
             hi = c if z is None else d
             if hi > b:
                 _add_products(
-                    u[c:d], w[c - b : d - b, b - lo : hi - lo], src[b:hi], factor[c - b : d - b]
+                    u[c:d],
+                    w[c - b : d - b, b - lo + 1 : hi - lo + 1],
+                    src[b:hi],
+                    factor[c - b : d - b],
                 )
             if leaves:
                 u[c:d] = np.matmul(u[c:d].T[:, None, :], inverse[:, : d - c, : d - c])[:, 0].T
@@ -497,17 +522,12 @@ def solve(
             leaving = combine(src[lo - 1 : out - 1], src[lo:out])
             _add_products(states, absorb[:, lo - out :], leaving, 1.0)
 
-    # Back to nodal values, in the same blocks of rows.  Row 0 gets phi as
-    # sampled.
-    for c in range(1, N + 1, rows):
-        u[c : c + rows] = _sine(u[c : c + rows]) * (2.0 / M)
+    # Back to nodal values, in the same blocks of rows, each checked as it
+    # is written.  Row 0 gets phi as sampled, checked first.
     u[0] = phi
-    # A NaN or infinity in a level shows in that level's max or min.
-    finite = np.isfinite(u.max(axis=1)) & np.isfinite(u.min(axis=1))
-    if not finite.all():
-        n = int(np.argmin(finite))
-        raise ValueError(
-            f"solution level {n} (t = {mesh.t[n]:g}) is not finite: the forcing "
-            "or the initial data is not finite, or too large, up to that time"
-        )
+    _check_finite(phi, 0, mesh)
+    for c in range(1, N + 1, rows):
+        block = u[c : c + rows]
+        block[:] = _sine(block) * (2.0 / M)
+        _check_finite(block, c, mesh)
     return SolutionLattice(values=u, grid=grid, mesh=mesh)

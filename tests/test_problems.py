@@ -243,7 +243,7 @@ class TestSpatialProfileCache:
         p = get_problem(label, 0.5)
         if not closed_form:
             p = dataclasses.replace(p, exact_f_conv=None)
-        fracheat.problems._sin_pi_of.cache_clear()
+        fracheat.problems._PROFILES.clear()
         sin, profiles = np.sin, []
 
         def counted(v, *args, **kwargs):
@@ -254,6 +254,70 @@ class TestSpatialProfileCache:
         monkeypatch.setattr(np, "sin", counted)
         max_lattice_error(solve(p, grid, mesh, scheme), p.exact_u)
         assert len(profiles) == 1
+
+    @staticmethod
+    def _count_sines(monkeypatch):
+        """An empty profile cache, and a list that gets one entry per np.sin call."""
+        monkeypatch.setattr(fracheat.problems, "_PROFILES", [])
+        sin, calls = np.sin, []
+
+        def counted(v, *args, **kwargs):
+            calls.append(np.shape(v))
+            return sin(v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sin", counted)
+        return calls
+
+    @pytest.mark.parametrize("x", [0.3, np.array(0.3), np.float64(-0.0)])
+    def test_a_0d_grid_through_f_and_exact_u(self, monkeypatch, x):
+        p, ref = manufactured_sin(0.5), _uncached("manufactured-sin", 0.5)
+        want = {(name, t): ref[name](x, t) for name in ("f", "exact_u") for t in (0.3, 1.0)}
+        calls = self._count_sines(monkeypatch)
+        for (name, t), value in want.items():
+            assert _same_bits(getattr(p, name)(x, t), value), (name, t)
+        assert calls == [(1,)]
+
+    def test_equal_bytes_in_different_shapes_are_separate_grids(self, monkeypatch):
+        p = manufactured_sin(0.5)
+        flat = np.linspace(0.0, 1.0, 8)
+        square = flat.reshape(2, 4)
+        want = np.sin(np.pi * square)
+        calls = self._count_sines(monkeypatch)
+        assert flat.tobytes() == square.tobytes()
+        assert p.exact_u(flat, 1.0).shape == (8,)
+        assert _same_bits(p.exact_u(square, 1.0), want)
+        assert p.exact_u(flat, 1.0).shape == (8,)
+        assert len(calls) == 2
+
+    def test_a_grid_one_ulp_away_gets_its_own_profile(self, monkeypatch):
+        p = manufactured_sin(0.5)
+        x = np.linspace(0.0, 1.0, 9)
+        near = x.copy()
+        near[-1] = np.nextafter(near[-1], 0.0)
+        want = np.sin(np.pi * near)
+        calls = self._count_sines(monkeypatch)
+        first, second = p.exact_u(x, 1.0), p.exact_u(near, 1.0)
+        assert len(calls) == 2
+        assert first[-1] != second[-1]
+        assert _same_bits(second, want)
+
+    def test_the_cache_keeps_the_8_grids_used_last(self, monkeypatch):
+        p = manufactured_sin(0.5)
+        grids = [np.linspace(0.0, 1.0, M + 1) for M in range(2, 11)]
+        calls = self._count_sines(monkeypatch)
+        for x in grids:
+            p.exact_u(x, 1.0)
+        assert len(calls) == 9 and len(fracheat.problems._PROFILES) == 8
+        # grids[1] is found and becomes the most recent, so grids[2] is now
+        # the least recent, and grids[0], gone, is evaluated again.
+        p.exact_u(grids[1], 1.0)
+        assert len(calls) == 9
+        p.exact_u(grids[0], 1.0)
+        assert len(calls) == 10 and len(fracheat.problems._PROFILES) == 8
+        p.exact_u(grids[1], 1.0)
+        assert len(calls) == 10
+        p.exact_u(grids[2], 1.0)
+        assert len(calls) == 11
 
 
 class TestProblemSpecValidation:
