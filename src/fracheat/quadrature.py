@@ -134,32 +134,30 @@ def forcing_convolution_profile(
 
 
 @functools.lru_cache(maxsize=16)
-def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss rule for the weight u**b on [0, 1], b > -1.
+def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss rule for the weight u**(beta-1) on [0, 1], beta > 0.
 
     Returns the read-only nodes, in increasing order, and their weights.
-    The nodes are u = (1 + x) / 2 at the roots x = cos(theta) of the
-    Jacobi polynomial P_n^(0,b); Newton's method runs on theta, with P_n
-    and P_{n-1} from the three-term recurrence, so that u = cos(theta/2)**2
-    and 1 - x**2 = sin(theta)**2 keep their relative accuracy near the
-    ends.  The weight of a node is 1 / (sin(theta) P_n'(x))**2.
+    By Golub and Welsch (Math. Comp. 23, 1969), the roots x of the Jacobi
+    polynomial P_n^(0,beta-1) are the eigenvalues of its symmetric
+    tridiagonal Jacobi matrix: the nodes are u = (1 + x) / 2, and a node's
+    weight is v[0]**2 / beta, with v its unit eigenvector and 1 / beta the
+    integral of the weight.  Off-diagonal entry k is
+    2k ((k-1) + beta) / ((2k-1 + beta) sqrt(((2k-2) + beta) (2k + beta))),
+    whose factors that vanish with beta at k = 1 are formed from beta
+    itself: from the exponent beta - 1 they would lose beta's digits as
+    beta -> 0.
     """
-    c = 2.0 * n + b
-    # Asymptotic root angles, then Newton steps: from this start the steps
-    # fall below 1e-16 within six iterations for n <= 30.
-    theta = np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5 * (b + 1.0))
-    for _ in range(8):
-        x = np.cos(theta)
-        prev, p = np.ones_like(x), 0.5 * ((b + 2.0) * x - b)
-        for m in range(2, n + 1):
-            d = 2.0 * m + b
-            prev, p = p, (
-                (d - 1.0) * (d * (d - 2.0) * x - b * b) * p
-                - 2.0 * (m - 1.0) * (m + b - 1.0) * d * prev
-            ) / (2.0 * m * (m + b) * (d - 2.0))
-        slope = (2.0 * n * (n + b) * prev - n * (b + c * x) * p) / (c * np.sin(theta))
-        theta += p / slope
-    rule = np.cos(0.5 * theta) ** 2, slope**-2.0
+    k = np.arange(1.0, n)
+    d = 2.0 * k + beta
+    # Diagonal entry 0 in reduced form: the generic one, (beta - 1)**2 over
+    # (2k - 1 + beta) (2k + 1 + beta), is 0/0 there at beta = 1 (Legendre).
+    diag = np.concatenate(
+        ([(beta - 1.0) / (beta + 1.0)], (beta - 1.0) ** 2 / ((d - 1.0) * (d + 1.0)))
+    )
+    off = 2.0 * k * ((k - 1.0) + beta) / ((d - 1.0) * np.sqrt(((2.0 * k - 2.0) + beta) * d))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    rule = 0.5 * (1.0 + x), v[0] ** 2 / beta
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -171,13 +169,14 @@ def _exp_sum(beta: float, delta: float, T: float) -> tuple[np.ndarray, np.ndarra
     For 0 < beta < 2 and 0 < delta < T, to within ``_SOE_TOL`` relative.
     Every rate and weight is positive, so the sum has no cancellation.  It
     discretizes t**-beta = integral_0^inf s**(beta-1) exp(-s t) ds / Gamma(beta):
-    an 8-point Gauss-Jacobi rule for the weight s**(beta-1) on [0, 1/T],
-    then 10-point Gauss-Legendre panels of unit width in log s from 1/T
-    until past ``_SOE_TOP`` / delta.  That is 8 + 10 ceil(log(37 T / delta))
-    terms: 78 for delta / T = 1/16, 138 for 1e-4 and 238 for 1e-8.
+    ``_gauss_jacobi``'s 8-point rule for the weight s**(beta-1) on [0, 1/T],
+    then its 10-point rule for the unit weight (Gauss-Legendre) on panels
+    of unit width in log s from 1/T until past ``_SOE_TOP`` / delta.  That
+    is 8 + 10 ceil(log(37 T / delta)) terms: 78 for delta / T = 1/16, 138
+    for 1e-4 and 238 for 1e-8.
     """
-    u, w = _gauss_jacobi(8, beta - 1.0)
-    y, v = _gauss_jacobi(10, 0.0)
+    u, w = _gauss_jacobi(8, beta)
+    y, v = _gauss_jacobi(10, 1.0)
     panels = math.ceil(math.log(_SOE_TOP * T / delta))
     s = np.exp(np.add.outer(np.arange(panels) - math.log(T), y).ravel())
     rates = np.concatenate((u / T, s))

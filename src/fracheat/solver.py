@@ -428,7 +428,12 @@ def solve(
             # float t, until the benchmark's tracer (perfbench/tracing.py),
             # which converts each f call's t with float(), takes a column.
             for i, t in enumerate(mesh.t[c : c + rows].tolist()):
-                block[i] = problem.f(x, t)
+                try:
+                    block[i] = problem.f(x, t)
+                except OverflowError:
+                    # A float power of a Python float t raises where numpy
+                    # would give inf; as inf, the level is named below.
+                    block[i] = np.inf
         block[:] = _sine(block, average=True)
     if z is not None:
         z[:1] += gain * u[:1]

@@ -287,15 +287,17 @@ class TestRun:
         assert rc == 0
         assert "x" in _lines(capsys)[0]
 
-    def test_overflowing_solve_prints_only_its_error(self):
-        # At T = 1e300 the forcing overflows from level 1 on.  Its own
-        # RuntimeWarnings, numpy's from the transforms and the report of
+    @pytest.mark.parametrize("scheme", ["transformed", "l1"])
+    def test_overflowing_solve_prints_only_its_error(self, scheme):
+        # At T = 1e300 the forcing overflows from level 1 on: the closed
+        # form with numpy's inf, L1's f with Python's OverflowError.  Its
+        # own RuntimeWarnings, numpy's from the transforms and the report of
         # the first bad level used to reach stderr together; warnings are
         # shown once per place by default, so a fresh interpreter runs it.
         src = Path(fracheat.cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
         proc = subprocess.run(
-            [sys.executable, "-m", "fracheat.cli", "run", "--alpha", "0.5",
+            [sys.executable, "-m", "fracheat.cli", "run", "--alpha", "0.5", "--scheme", scheme,
              "--time-steps", "100", "--spatial-cells", "4", "--final-time", "1e300"],
             env=env, capture_output=True, text=True, timeout=120,
         )

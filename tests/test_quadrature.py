@@ -125,24 +125,35 @@ class TestWeights:
         assert np.all(weights_row(0.5, mesh, 35, 41, 34)[-1] > 0.0)
 
 
+# The exponents the solver fits: t**(alpha-1) for the transformed scheme
+# and L1's t**(-alpha), beta = 1 - alpha and beta = alpha, both near 0 at
+# the ends of (0, 1); then beta in (1, 2), the rest of ``_exp_sum``'s range.
+_ORDERS = [1e-9, 1e-6, 1e-4, 1e-2, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.9999, 1.0 - 1e-9]
+_FIT_BETAS = sorted({1.0 - a for a in _ORDERS} | set(_ORDERS) | {1.1, 1.5, 1.9})
+
+
 class TestExpSum:
     @pytest.mark.parametrize("n", [8, 10])
     @pytest.mark.parametrize("b", [-0.9, -0.5, 0.0, 0.25, 0.9])
     def test_gauss_jacobi_matches_scipy(self, n, b):
         # scipy's rule is for (1 - x)**0 (1 + x)**b on [-1, 1], x = 2u - 1.
-        u, w = _gauss_jacobi(n, b)
+        u, w = _gauss_jacobi(n, b + 1.0)
         x, v = roots_jacobi(n, 0.0, b)
         np.testing.assert_allclose(2.0 * u - 1.0, x, rtol=0, atol=1e-15)
         np.testing.assert_allclose(2.0 ** (b + 1.0) * w, v, rtol=1e-12)
         assert not u.flags.writeable and not w.flags.writeable
 
+    def test_unit_weight_is_gauss_legendre(self):
+        # The panels' rule, against numpy's Gauss-Legendre on [-1, 1].
+        u, w = _gauss_jacobi(10, 1.0)
+        x, v = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(2.0 * u - 1.0, x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(2.0 * w, v, rtol=1e-14)
+
     @pytest.mark.parametrize("ratio", [0.5, 1e-4, 1e-8])
-    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
-    @pytest.mark.parametrize("kernel", ["transformed", "l1"])
+    @pytest.mark.parametrize("beta", _FIT_BETAS)
     @pytest.mark.parametrize("T", [1.0, 2048.0])
-    def test_fit_is_within_tolerance(self, kernel, alpha, ratio, T):
-        # The transformed kernel t**(alpha-1) and L1's t**(-1-alpha).
-        beta = 1.0 - alpha if kernel == "transformed" else 1.0 + alpha
+    def test_fit_is_within_tolerance(self, beta, ratio, T):
         delta = ratio * T
         rates, weights = _exp_sum(beta, delta, T)
         assert len(rates) == 8 + 10 * math.ceil(math.log(37.0 / ratio))

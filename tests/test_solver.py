@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from math import gamma
+import re
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,28 @@ class TestBothSchemes:
         a = solve(p, grid, mesh, scheme)
         b = solve(p, grid, mesh, scheme)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "scheme, alpha",
+        [
+            (SchemeKind.TRANSFORMED, 0.9999),
+            (SchemeKind.TRANSFORMED, 1.0 - 1e-9),
+            (SchemeKind.L1, 1e-4),
+            (SchemeKind.L1, 1e-9),
+        ],
+    )
+    def test_states_agree_with_exact_weights_at_extreme_orders(
+        self, monkeypatch, scheme, alpha, grading
+    ):
+        # The states fit t**(kappa-1), here with an exponent near 0.  A
+        # window of 2**20 levels weighs every step exactly instead.
+        p, grid = manufactured_sin(alpha), SpatialGrid(16)
+        mesh = graded_time_mesh(1.0, 640, grading)
+        fitted = solve(p, grid, mesh, scheme).values
+        monkeypatch.setattr(fracheat.solver, "_WINDOW", 1 << 20)
+        exact = solve(p, grid, mesh, scheme).values
+        assert np.max(np.abs(fitted - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize(
         "scheme, boundary_forced, alpha, grading, closed_form, M, N",
@@ -444,6 +467,17 @@ class TestBothSchemes:
             p = dataclasses.replace(p, exact_f_conv=None)
         named = max(bad, 1)
         message = rf"level {named} \(t = {mesh.t[named]:g}\) is not finite.*forcing"
+        with pytest.raises(ValueError, match=message):
+            solve(p, SpatialGrid(8), mesh, scheme)
+
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_overflowing_forcing_names_its_level(self, scheme, grading):
+        # Without a closed-form integral both schemes sample f, whose float
+        # powers of t raise OverflowError from level 1 on at T = 1e200.
+        p = dataclasses.replace(manufactured_sin(0.5), exact_f_conv=None)
+        mesh = graded_time_mesh(1e200, 40, grading)
+        message = re.escape(f"level 1 (t = {mesh.t[1]:g}) is not finite: the forcing")
         with pytest.raises(ValueError, match=message):
             solve(p, SpatialGrid(8), mesh, scheme)
 
