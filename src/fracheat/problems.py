@@ -38,17 +38,21 @@ SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 # sin(pi x) of the 8 grids used last, most recent first, shared read-only.
 # An entry matches the shape and the bytes of x: its values, not the array,
 # whose owner may change it in place.  The bytes are compared, never hashed,
-# so a hit costs one copy and one comparison of M + 1 doubles.
+# so a hit costs one copy and one comparison of M + 1 doubles.  The most
+# recent entry, which a solve's per-level calls hit, is tried first.
 _PROFILES: list[tuple[tuple[int, ...], bytes, np.ndarray]] = []
 
 
 def _sin_pi(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
-    for i, entry in enumerate(_PROFILES):
+    if _PROFILES:
+        shape, data, profile = _PROFILES[0]
+        if data == key and shape == x.shape:
+            return profile
+    for i, entry in enumerate(_PROFILES[1:], 1):
         if entry[0] == x.shape and entry[1] == key:
-            if i:
-                _PROFILES.insert(0, _PROFILES.pop(i))
+            _PROFILES.insert(0, _PROFILES.pop(i))
             return entry[2]
     # The sine of a 1-d copy, reshaped: np.sin of a 0-d array is a scalar.
     profile = np.sin(np.pi * np.frombuffer(key)).reshape(x.shape)

@@ -77,7 +77,8 @@ def weights_row(
     # Step k of level m takes (t_m - t_k)**alpha, clipped to 0 past t_m.
     powers = np.maximum(mesh.t[n:hi, None] - mesh.t[start:hi], 0.0)
     powers **= alpha
-    w = (powers[:, :-1] - powers[:, 1:]) / math.gamma(1.0 + alpha)
+    w = np.subtract(powers[:, :-1], powers[:, 1:])
+    w /= math.gamma(1.0 + alpha)
     # Level m has m - start weights, and its padding past them is exactly 0.
     ok, rows = (w > 0.0) & (w < np.inf), hi - n
     if np.count_nonzero(ok) != rows * (n - start) + rows * (rows - 1) // 2:

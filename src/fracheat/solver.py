@@ -69,9 +69,10 @@ those steps referenced to t_(lo-1): when a block is done they decay to
 the next window start and absorb the steps that leave, each as its
 source.  So every step is weighed whole, by the fit or exactly, in one
 form for both schemes.  A block costs three matrix products (window rows,
-states, absorption) and the solve O(M N (W + N_exp)), with N_exp about 80
-to 250 terms; solves that no step leaves before their last block build no
-states.  ``_block_weights`` builds a block's weights, denominators, the
+states, absorption), a fourth over its own F rows with quadrature forcing,
+and the solve O(M N (W + N_exp)), with N_exp about 80 to 250 terms;
+solves that no step leaves before their last block build no states.
+``_block_weights`` builds a block's weights, denominators, the
 states' decay to its levels and their absorption weights.  A graded mesh
 calls it once per block.  On a uniform mesh (steps equal to the rounding
 of the levels) they depend only on lags, so it runs once, in units of the
@@ -85,19 +86,25 @@ That block's step integrals are gathered by lag from one row of
 so the gathered block is the one ``weights_row`` would give.
 
 Within a block, level i still needs the block's earlier levels: per mode
-m, u_i = c_i + f_m sum_{j<i} lag_{i-j} u_j, with f_m = gain_m / den_m.
-On a uniform mesh that system is the same lower-triangular Toeplitz one
-in every block, so its inverse, G_0 = 1 and G_d = f_m sum_{k=1..d} lag_k
-G_{d-k}, is built once per solve for leaves of ``_LEAF`` levels.  Every
-block is solved a leaf at a time: one product adds the block's rows
-before the leaf, and where the inverse applies one batched product then
-solves the leaf.  Otherwise the leaves are one level each, which the
-product alone solves: on graded meshes, whose system changes from block
-to block, on wide grids (M > 255), where the inverse outgrows
-``_CHUNK_BYTES`` (and by M = 2000 its per-mode products are slower than
-row products), and in blocks whose right-hand side is not finite (the
-inverse's zeros would carry a NaN into earlier levels).  Either way no
-level reads a later one.
+m, u_i = c_i + f_m sum_{j<i} w_(i,j) u_j, with f_m = gain_m / den_m and
+w_(i,j) the weight of level j in level i.  With quadrature forcing, one
+more product per block puts the block's own F rows into the c_i, with
+the same weights and the own e_i / 2 F_i; the rows from the first one
+that is not finite go only to the levels from it on, since a zero weight
+times a NaN is NaN.  So every leaf reads only solved rows of u, and z
+takes its gain u once the block is solved.  On a uniform mesh w_(i,j) =
+lag_(i-j), the same lower-triangular Toeplitz system in every block, so
+its inverse, G_0 = 1 and G_d = f_m sum_{k=1..d} lag_k G_{d-k}, is built
+once per solve for leaves of ``_LEAF`` levels.  Every block is solved a
+leaf at a time: one product adds the block's rows before the leaf, and
+where the inverse applies one batched product then solves the leaf.
+Otherwise the leaves are one level each, which one vector-matrix product
+solves: on graded meshes, whose system changes from block to block, on
+wide grids (M > 255), where the inverse outgrows ``_CHUNK_BYTES`` (and by
+M = 2000 its per-mode products are slower than row products), and in
+blocks whose right-hand side is not finite once the block-level products
+are in (the inverse's zeros would carry a NaN into earlier levels).
+Either way no level reads a later one.
 
 The transforms mix nodes within a level but never across levels (a row
 of a product with the basis is one level), so a non-finite level can
@@ -227,10 +234,12 @@ def _sine(v: np.ndarray, average: bool = False) -> np.ndarray:
         return out
     if average:
         v = apply_compact(v)
-    odd = np.zeros(v.shape[:-1] + (2 * m,))
+    odd = np.empty(v.shape[:-1] + (2 * m,))
+    odd[..., 0] = odd[..., m] = 0.0
     odd[..., 1:m] = v[..., 1:m]
-    odd[..., m + 1 :] = -v[..., m - 1 : 0 : -1]
-    out = np.zeros(v.shape)
+    np.negative(v[..., m - 1 : 0 : -1], out=odd[..., m + 1 :])
+    out = np.empty(v.shape)
+    out[..., 0] = out[..., m] = 0.0
     out[..., 1:m] = np.fft.rfft(odd)[..., 1:m].imag * -0.5 + 0.0
     return out
 
@@ -252,8 +261,9 @@ def _denominators(p: float, r: float, h: float, s: np.ndarray) -> np.ndarray:
     q = r / (h * h)
     off = p / 12.0 - q
     diag = 10.0 * p / 12.0 + 2.0 * q
-    den = (diag + 2.0 * off) - 4.0 * off * s
-    den[..., [0, -1]] = 1.0
+    den = 4.0 * off * s
+    np.subtract(diag + 2.0 * off, den, out=den)
+    den[..., 0] = den[..., -1] = 1.0
     return den
 
 
@@ -294,20 +304,16 @@ def _leaf_inverse(lag: np.ndarray, f: np.ndarray, size: int) -> np.ndarray:
     return np.take(np.ascontiguousarray(g.T), size - 1 + i - i[:, None], axis=1)
 
 
-def _decay(rate: np.ndarray, dt) -> np.ndarray:
-    """exp(-rate * dt) for each rate (rows) and time dt >= 0 (columns).
-
-    Exponents are clipped at ``_EXP_CLIP``.
-    """
-    return np.exp(-np.minimum(np.multiply.outer(rate, dt), _EXP_CLIP))
-
-
 def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) -> None:
-    """Add ``weights @ src``, times ``scale`` (a float or one per column), to ``dst``.
+    """Add ``weights @ src``, times ``scale``, to ``dst``.
 
-    One matrix product over all columns: ``src`` is at most W + 1 window
-    rows (from lo - 1), the states or one block of rows, so its product
-    stays small.  A unit float ``scale`` multiplies nothing.
+    One matrix product over all columns.  ``solve`` passes as ``src`` the
+    window rows from lo - 1 (at most W + 1), the states, the sources of
+    the steps that leave the window, a block's own F rows, or a leaf's
+    solved rows of u before it in its block, so each product stays small.
+    ``scale`` is a float (a unit float multiplies nothing), ``gain`` (one
+    row of one factor per column), or for a leaf one row of gain / den per
+    level.
     """
     part = weights @ src
     if not (isinstance(scale, float) and scale == 1.0):
@@ -319,30 +325,37 @@ def _block_weights(levels, b, e, lo, scheme, integrals, fit, h, s):
     """The weights of levels b..e-1 on ``levels``, from the window start lo >= 1.
 
     ``integrals[i, k]`` is the step integral c_(lo+k) of level b + i, in
-    the units of ``levels``, and zero past that level.  Returns (step, w,
-    den, lev, absorb):
+    the units of ``levels``, and zero past that level: on a graded mesh
+    the block of ``weights_row`` from step lo, on a uniform one the
+    one-off block gathered by lag, in units of the step.  Returns (step,
+    w, den, lev, absorb):
 
     * step[i, k], the weight e_(lo+k) of step lo + k in level n = b + i,
       integrals[i, k] (divided by tau_(lo+k) for L1), zero past n;
     * w[i, c], the weight of row j = lo - 1 + c in level n: theta e_lo for
       c = 0, then theta (e_(j+1) +- e_j) through row n (its own term) and
-      zero past it;
+      zero past it, so that its columns from b - lo + 1 on, which weigh
+      the block's own rows, are lower triangular;
     * den, the levels' denominators: a broadcast row if their own weights
       e_n agree, as on a uniform mesh in units of its step;
     * with a ``fit`` (rates, coefficients), lev[i, l] = exp(-rate_l (t_n -
       t_(lo-1))), the decay of states referenced to t_(lo-1), and absorb,
       which refers them to t_(out-1), out = e - W: absorb[l, 0] decays them
       and absorb[l, 1 + k] weighs step lo + k, for the steps lo..out-1 that
-      leave the window.  Without a fit, both are None.
+      leave the window.  The exponents of both decays are clipped at
+      ``_EXP_CLIP``.  Without a fit, both are None.
     """
     theta, combine = _ENDS[scheme]
     t, l1 = levels.t, scheme is SchemeKind.L1
     tau = np.diff(t[lo - 1 : e])
     step = integrals / tau if l1 else integrals
-    w = np.zeros((e - b, step.shape[1] + 1))
-    w[:, :-1] = step
-    combine(w[:, 1:], step, out=w[:, 1:])
-    w *= theta
+    # Column c >= 1 joins steps c and c - 1; the last has no step c.
+    w = np.empty((e - b, step.shape[1] + 1))
+    w[:, 0] = step[:, 0]
+    combine(step[:, 1:], step[:, :-1], out=w[:, 1:-1])
+    combine(0.0, step[:, -1], out=w[:, -1])
+    if theta != 1.0:
+        w *= theta
     own = np.diagonal(step, b - lo)
     same = own[0] == own[-1] and own.min() == own.max()
     own = own[0] if same else own[:, None]
@@ -353,12 +366,19 @@ def _block_weights(levels, b, e, lo, scheme, integrals, fit, h, s):
     rate, coef = fit
     out = max(e - _WINDOW, lo)
     tau = tau[: out - lo]
-    absorb = _decay(rate, t[out - 1] - t[lo - 1 : out])
-    absorb[:, 1:] *= np.expm1(-np.multiply.outer(rate, tau))
+    # exp(-min(rate dt, _EXP_CLIP)) of the leaving steps' times to t_(out-1)
+    # and of the levels' to t_(lo-1), as one array.
+    dt = np.concatenate((t[out - 1] - t[lo - 1 : out], t[b:e] - t[lo - 1]))
+    decay = np.multiply.outer(-rate, dt)
+    np.maximum(decay, -_EXP_CLIP, out=decay)
+    np.exp(decay, out=decay)
+    absorb = decay[:, : out - lo + 1]
+    part = np.multiply.outer(-rate, tau)
+    absorb[:, 1:] *= np.expm1(part, out=part)
     absorb[:, 1:] *= (-theta * coef / rate)[:, None]
     if l1:
         absorb[:, 1:] /= tau
-    return step, w, den, _decay(rate, t[b:e] - t[lo - 1]).T, absorb
+    return step, w, den, decay[:, out - lo + 1 :].T, absorb
 
 
 def _check_finite(levels: np.ndarray, n: int, mesh: TemporalMesh) -> None:
@@ -409,12 +429,12 @@ def solve(
 
     # The history source is u, scaled by ``gain``, or with quadrature
     # forcing z, which holds F_j (the transformed H f_j) before the march
-    # and F_j + gain u^j once level j is solved.  The forcing is sampled
-    # into row n of u (closed forms, from n = 1) or of z (from n = 0) in
-    # blocks of rows whose temporaries (by FFT the odd extension, spectrum
-    # and result, about 64 M bytes a row; with the basis the product, 8 M)
-    # stay near ``_CHUNK_BYTES``; H and the transform then run on the
-    # whole block.
+    # and F_j + gain u^j once the block of level j is solved.  The forcing
+    # is sampled into row n of u (closed forms, from n = 1) or of z (from
+    # n = 0) in blocks of rows whose temporaries (by FFT the odd extension,
+    # spectrum and result, about 64 M bytes a row; with the basis the
+    # product, 8 M) stay near ``_CHUNK_BYTES``; H and the transform then
+    # run on the whole block.
     rows = max(1, _CHUNK_BYTES // (64 * M))
     z = None if l1 or problem.exact_f_conv is not None else np.zeros_like(u)
     src, scale = (u, gain) if z is None else (z, 1.0)
@@ -468,9 +488,10 @@ def solve(
         )
         # Row lo - 1 weighs share[n - lo] in level n, and a row k >= 1
         # levels back weighs entry k of the last row of ``near`` reversed.
-        # Level n solves (rhs + scale T^n) / den.
+        # A solved row of u reaches a later level of its block times
+        # ``coupling`` = gain / den.
         share = theta * step[-1, ::-1]
-        factor = np.broadcast_to(scale / den[:1], (height, M + 1))
+        coupling = np.broadcast_to(gain / den[:1], (height, M + 1))
         if (M + 1) * _LEAF * _LEAF * 8 <= _CHUNK_BYTES:
             leaf = min(_LEAF, height)
             inverse = _leaf_inverse(near[-1, :0:-1], gain[0] / den[0], leaf)
@@ -490,35 +511,46 @@ def solve(
         else:
             integrals = weights_row(kappa, mesh, b, e, lo - 1)
             _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, integrals, fit, h, s)
-            factor = scale / den
+            coupling = gain / den
         if base is not None:
             u[b:e] += base
         _add_products(u[b:e], w[:, : b - lo + 1], src[lo - 1 : b], scale)
         if lo > 1:
             _add_products(u[b:e], lev[: e - b], states, scale)
+        # The in-block weights: row i weighs level b + j at column j, j <= i.
+        inner = w[:, b - lo + 1 : e - lo + 1]
+        if z is not None:
+            # The block's own F rows, F_n in level n with weight e_n / 2
+            # included.  A level weighs later rows by 0, but 0 times NaN is
+            # NaN: the rows from the first one that is not finite reach only
+            # the levels from it on.
+            finite = np.isfinite(z[b:e]).all(axis=1)
+            k = e - b if finite.all() else int(np.argmin(finite))
+            if k:
+                _add_products(u[b:e], inner[:, :k], z[b : b + k], 1.0)
+            if k < e - b:
+                _add_products(u[b + k : e], inner[k:, k:], z[b + k : e], 1.0)
         u[b:e] /= den[: e - b]
         # Leaves of ``leaf`` levels where the inverse applies, else of one
-        # level: a NaN in the block's rows, or in the F rows that the leaf
-        # products read, would reach earlier levels through its zeros.
-        leaves = inverse is not None and np.isfinite(u[b:e]).all()
-        leaves = leaves and (z is None or np.isfinite(z[b:e]).all())
-        for c in range(b, e, leaf if leaves else 1):
-            d = min(c + leaf, e) if leaves else c + 1
-            # The block's rows before the leaf, solved, and with quadrature
-            # forcing also the leaf's own z rows, which still hold F_j: each
-            # level's own F_n with weight e_n / 2.
-            hi = c if z is None else d
-            if hi > b:
-                _add_products(
-                    u[c:d],
-                    w[c - b : d - b, b - lo + 1 : hi - lo + 1],
-                    src[b:hi],
-                    factor[c - b : d - b],
-                )
-            if leaves:
+        # level: a NaN in the block's rows would reach earlier levels
+        # through the inverse's zeros.  Either way each leaf adds the solved
+        # rows of u before it in the block.
+        if inverse is not None and np.isfinite(u[b:e]).all():
+            for c in range(b, e, leaf):
+                d = min(c + leaf, e)
+                if c > b:
+                    _add_products(
+                        u[c:d], inner[c - b : d - b, : c - b], u[b:c], coupling[c - b : d - b]
+                    )
                 u[c:d] = np.matmul(u[c:d].T[:, None, :], inverse[:, : d - c, : d - c])[:, 0].T
-            if z is not None:
-                z[c:d] += gain * u[c:d]
+        else:
+            for i in range(1, e - b):
+                part = np.dot(inner[i, :i], u[b : b + i])
+                part *= coupling[i]
+                row = u[b + i]
+                row += part
+        if z is not None:
+            z[b:e] += gain * u[b:e]
         out = e - _WINDOW
         if out > lo and e <= N:
             # Steps lo..out-1 leave the window: the states decay to

@@ -12,10 +12,11 @@ from fracheat.harness import max_lattice_error
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.operators import apply_compact, norm_energy
 from fracheat.problems import ProblemSpec, manufactured_sin, sine_decay, zero_problem
-from fracheat.quadrature import weights_row
+from fracheat.quadrature import _exp_sum, weights_row
 from fracheat.solver import (
     SchemeKind,
     SolutionLattice,
+    _block_weights,
     _denominators,
     _is_uniform,
     _leaf_inverse,
@@ -437,6 +438,12 @@ class TestBothSchemes:
             # Level 45 is inside the second leaf of the block [33, 65); on
             # a uniform mesh the block [1, 33) was solved by leaf inverse.
             (80, 45, None, None),
+            # The first and the last level of the block [33, 65): with
+            # quadrature forcing, the block's product over its own F rows
+            # splits at the first one that is not finite, here with no row
+            # before the split or with every row but the last.
+            (80, 33, None, None),
+            (80, 64, None, None),
         ],
     )
     def test_non_finite_forcing_names_the_first_bad_level(
@@ -818,6 +825,62 @@ class TestInBlockPaths:
             expected = np.linalg.inv(np.eye(size) - f[m] * L)
             np.testing.assert_allclose(got[m].T, expected, rtol=1e-13, atol=1e-13)
         assert np.array_equal(got[[0, -1]], np.broadcast_to(np.eye(size), (2, size, size)))
+
+
+class TestBlockWeights:
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_graded_block_weights_and_clipped_decays(self, scheme):
+        # A fit down to delta = 1e-6 has rates near 1e8, so on the block
+        # [353, 385) of 400 graded levels (window from lo = 225, steps
+        # 225..256 leaving it) rate times span passes ``_EXP_CLIP`` by far.
+        l1 = scheme is SchemeKind.L1
+        theta, kappa = (1.0, 0.4) if l1 else (0.5, 0.6)
+        clip, window = fracheat.solver._EXP_CLIP, fracheat.solver._WINDOW
+        mesh, M = graded_time_mesh(1.0, 400, 2.0), 8
+        t, b, e = mesh.t, 353, 385
+        lo, out = b - window, e - window
+        h, s = 1.0 / M, np.sin(0.5 * np.pi * np.arange(M + 1) / M) ** 2
+        rate, coef = fit = _exp_sum(1.0 - kappa, 1e-6, 1.0)
+        assert rate.max() * (t[b] - t[lo - 1]) > clip
+        integrals = weights_row(kappa, mesh, b, e, lo - 1)
+        step, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, integrals, fit, h, s)
+
+        # The decays, bit for bit as exp(-min(rate dt, _EXP_CLIP)) and
+        # expm1, the clip reached, and no subnormal entry.
+        def decay(dt):
+            return np.exp(-np.minimum(np.multiply.outer(rate, dt), clip))
+
+        tau = np.diff(t[lo - 1 : e])
+        leaving = decay(t[out - 1] - t[lo - 1 : out])
+        leaving[:, 1:] *= np.expm1(-np.multiply.outer(rate, tau[: out - lo]))
+        leaving[:, 1:] *= (-theta * coef / rate)[:, None]
+        if l1:
+            leaving[:, 1:] /= tau[: out - lo]
+        np.testing.assert_array_equal(lev, decay(t[b:e] - t[lo - 1]).T)
+        np.testing.assert_array_equal(absorb, leaving)
+        assert np.any(lev == math.exp(-clip))
+        for a in (lev, absorb):
+            assert not np.any((a != 0.0) & (np.abs(a) < np.finfo(float).tiny))
+
+        # step: e_(lo+k) of level b + i, zero past it.  w: theta e_lo, then
+        # theta (e_(j+1) +- e_j) for row j = lo - 1 + c, its own term
+        # +-theta e_n at j = n and zero past it.
+        np.testing.assert_array_equal(step, integrals / tau if l1 else integrals)
+        ext = np.concatenate((step, np.zeros((e - b, 1))), axis=1)
+        joined = ext[:, 1:] - ext[:, :-1] if l1 else ext[:, 1:] + ext[:, :-1]
+        np.testing.assert_array_equal(w[:, 0], theta * step[:, 0])
+        np.testing.assert_array_equal(w[:, 1:], theta * joined)
+        for i, n in enumerate(range(b, e)):
+            assert w[i, n - lo + 1] == (-theta if l1 else theta) * step[i, n - lo] != 0.0
+            assert not np.any(w[i, n - lo + 2 :])
+
+        # den: p H - r D2 on the sine modes, with (p, r) = (e_n, 1) for L1
+        # and (1, e_n / 2) for the transformed scheme, and 1 at both ends.
+        own = step[np.arange(e - b), np.arange(b, e) - lo][:, None]
+        p, r = (own, 1.0) if l1 else (1.0, 0.5 * own)
+        plain = p * (1.0 - s / 3.0) + r * 4.0 * s / (h * h)
+        np.testing.assert_allclose(den[:, 1:-1], plain[:, 1:-1], rtol=1e-13)
+        assert np.all(den[:, [0, -1]] == 1.0)
 
 
 class TestUniformMeshTest:
