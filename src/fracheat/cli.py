@@ -4,17 +4,21 @@ Two subcommands: ``run`` solves a single problem instance and writes the
 solution, ``converge`` runs a refinement ladder and writes the error
 report.  Each computes its results before it renders any text, then hands
 ``_emit`` the report as chunks: the converge report in one, a run dump as
-its header and then one chunk per time level.  ``_emit`` writes them as
-they come to stdout or to the ``--output`` file.  Usage problems exit with
-status 2, runtime failures (an unwritable ``--output`` too) with 1.
+its header and then one chunk per block of time levels.  ``_emit`` writes
+them as they come to stdout or to the ``--output`` file.  Usage problems
+exit with status 2, runtime failures (an unwritable ``--output`` too) with
+1, and so does a stdout whose reader has gone, but silently.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .harness import _LEVEL_NORMS, SweepConfig, parse_mesh_kind, run_sweep
 from .meshes import SpatialGrid, graded_time_mesh
@@ -120,6 +124,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
     if path is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
@@ -132,13 +137,15 @@ _DUMP_FORMATS = {
     "table": ("  ", {"t": ">12.6f", "x": ">12.6f", "u": ">14.6e"}),
 }
 
+# About this many u values are rendered together, in one block of levels.
+_BLOCK_VALUES = 4096
 
-def _percent_spec(spec: str) -> str:
-    """The ``%`` conversion that renders a float as ``format(v, spec)`` does.
 
-    Every spec above is right-aligned, which is also the default of ``%``.
-    """
-    return "%" + spec.lstrip(">")
+def _cells(texts: list[str]) -> np.ndarray:
+    """The texts as the rows of a uint32 array, NUL padded to whole words."""
+    width = -(-max(map(len, texts), default=0) // 4) * 4
+    joined = "".join(s.ljust(width, "\0") for s in texts).encode("ascii")
+    return np.frombuffer(joined, np.uint32).reshape(len(texts), width // 4)
 
 
 def _dump_run(args: argparse.Namespace) -> Iterator[str]:
@@ -150,27 +157,43 @@ def _dump_run(args: argparse.Namespace) -> Iterator[str]:
     lattice = solve(problem, grid, mesh, SchemeKind(args.scheme))
     x = grid.x.tolist()
     if args.dump == "profile":
-        return _dump_chunks(("x", "u"), x, [(None, lattice.values[-1])], args.format)
-    levels = zip(mesh.t.tolist(), lattice.values)
-    return _dump_chunks(("t", "x", "u"), x, levels, args.format)
+        return _dump_chunks(x, None, lattice.values[-1:], args.format)
+    return _dump_chunks(x, mesh.t.tolist(), lattice.values, args.format)
 
 
-def _dump_chunks(columns, x: list[float], levels, fmt: str) -> Iterator[str]:
-    """The header line, then the text of each (t or None, row) level.
+def _dump_chunks(x: list[float], t: Optional[list[float]], values: np.ndarray,
+                 fmt: str) -> Iterator[str]:
+    """The header line, then the text of a block of levels (rows of
+    ``values``, at times ``t``, or with no t column for None) at a time.
 
-    One template per grid holds each node's x text, the separators and a
-    ``%`` conversion for its u, with a slot for the level's t text before
-    each node; a level fills the slots with one join and its u values with
-    one ``%``.
+    A block's lines are the rows of one array of words: the level's t text
+    and the node's x text, each formatted once, then the node's u text from
+    ``_render.render``, ended by a newline in its last byte.  The NUL bytes
+    padding them are dropped last.
     """
+    # Loaded here, so that the commands that write no dump do not pay for it.
+    from ._render import render
+
     sep, spec = _DUMP_FORMATS[fmt]
+    columns = ("x", "u") if t is None else ("t", "x", "u")
     yield sep.join(format(c, spec[c].split(".")[0]) for c in columns) + "\n"
-    u_conv = sep + _percent_spec(spec["u"]) + "\n"
-    # slots[0] is empty, so joining the slots with t text starts every line with it
-    slots = [""] + [format(xi, spec["x"]) + u_conv for xi in x]
-    for t, row in levels:
-        t_text = "" if t is None else format(t, spec["t"]) + sep
-        yield t_text.join(slots) % tuple(row.tolist())
+    x_cells = _cells([format(xi, spec["x"]) + sep for xi in x])
+    step = max(1, _BLOCK_VALUES // len(x))
+    for lo in range(0, len(values), step):
+        block = values[lo:lo + step]
+        if t is None:
+            t_cells = _cells([""] * len(block))
+        else:
+            t_cells = _cells([format(ti, spec["t"]) + sep for ti in t[lo:lo + step]])
+        t_end = t_cells.shape[1]
+        lead = t_end + x_cells.shape[1]
+        words = render(block.ravel(), spec["u"], lead)
+        lines = words.reshape(block.shape + (-1,))
+        lines[..., :t_end] = t_cells[:, None]
+        lines[..., t_end:lead] = x_cells
+        text = words.view(np.uint8)
+        text[:, -1] = 10
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _converge_report(args: argparse.Namespace) -> list[str]:
@@ -196,7 +219,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         chunks = _dump_run(args) if args.command == "run" else _converge_report(args)
         _emit(chunks, args.output)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        print(f"fracheat: error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and args.output is None:
+            # The reader of stdout has gone (``| head``).  Point stdout at
+            # os.devnull, so that what is still buffered goes nowhere at
+            # exit instead of failing again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        else:
+            print(f"fracheat: error: {exc}", file=sys.stderr)
         return 1
     return 0
 

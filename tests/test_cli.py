@@ -4,14 +4,17 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
+import fracheat._render
 import fracheat.cli
-from fracheat.cli import _DUMP_FORMATS, _percent_spec, main
+from fracheat._render import render
+from fracheat.cli import _DUMP_FORMATS, main
 from fracheat.harness import SweepConfig, run_sweep
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.problems import manufactured_sin
-from fracheat.solver import solve
+from fracheat.solver import SolutionLattice, solve
 from oracles import dump_text
 
 
@@ -192,15 +195,72 @@ _EDGE_VALUES = [
     0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.99999999995e-6, 9999999999.5,
     1e10, 0.1 + 0.2, 1 / 3, 1.5e-300, 1.7976931348623157e308,
 ]
+# Exact decimal ties at 10 and at 7 digits, values just below a power of
+# ten that round up to it, the 1e-4 switch of .10g, the first and last
+# two-digit exponents and their neighbours, and what is not finite.
+_ROUNDING_VALUES = [
+    1234567890.5, 1234567.5, 0.5, 2.5, 9.9999999995, 9.9999995, 99999.999995,
+    1e-4, 9.99999999995e-5, 1e-99, 1e99, 9.99999999995e98, 1e100, 1e-100,
+    123456789.0, 1e22, 1e23, float("inf"), float("nan"),
+]
+_SIGNED_VALUES = [s * v for s in (1.0, -1.0) for v in _EDGE_VALUES + _ROUNDING_VALUES]
+_U_SPECS = sorted({specs["u"] for _, specs in _DUMP_FORMATS.values()})
 
 
-@pytest.mark.parametrize(
-    "spec", sorted({s for _, specs in _DUMP_FORMATS.values() for s in specs.values()})
-)
-def test_percent_spec_renders_like_format(spec):
-    conversion = _percent_spec(spec)
-    for v in _EDGE_VALUES + [-v for v in _EDGE_VALUES]:
-        assert conversion % v == format(v, spec), v
+def _rendered(values, spec) -> list[str]:
+    text = render(np.asarray(values, dtype=float), spec, 0).view(np.uint8)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in text]
+
+
+class TestRender:
+    """The block renderer against Python's ``format``, the reference."""
+
+    @pytest.mark.parametrize("spec", _U_SPECS)
+    def test_edge_values_render_like_format(self, spec):
+        expected = [format(v, spec) for v in _SIGNED_VALUES]
+        assert _rendered(_SIGNED_VALUES, spec) == expected
+        # alone, each value gets the narrowest row its text needs
+        assert [_rendered([v], spec)[0] for v in _SIGNED_VALUES] == expected
+
+    @pytest.mark.parametrize("spec", _U_SPECS)
+    def test_random_values_render_like_format(self, spec, monkeypatch):
+        rng = np.random.default_rng(25)
+        n = 100_000
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        fallbacks = []
+
+        def counted_format(value, format_spec):
+            fallbacks.append(value)
+            return format(value, format_spec)
+
+        monkeypatch.setattr(fracheat._render, "format", counted_format, raising=False)
+        assert _rendered(values, spec) == [format(v, spec) for v in values.tolist()]
+        assert len(fallbacks) < 1e-3 * n
+
+
+class TestRunBlocks:
+    """Lattices of edge values written a few levels a block, pinned to the
+    four-branch oracle."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("dump", ["profile", "lattice"])
+    @pytest.mark.parametrize("block_values", [1, 3 * len(_SIGNED_VALUES), None])
+    def test_matches_oracle(self, block_values, dump, fmt, monkeypatch, capsys):
+        M, N = len(_SIGNED_VALUES) - 1, 9
+        grid, mesh = SpatialGrid(M), graded_time_mesh(1.0, N, 2.0)
+        values = np.zeros((N + 1, M + 1))
+        values[0] = _SIGNED_VALUES
+        values[1:, 1:-1] = np.random.default_rng(5).choice(_SIGNED_VALUES, (N, M - 1))
+        monkeypatch.setattr(fracheat.cli, "solve",
+                            lambda *args: SolutionLattice(values, grid, mesh))
+        if block_values is not None:
+            monkeypatch.setattr(fracheat.cli, "_BLOCK_VALUES", block_values)
+        rc = main([
+            "run", "--alpha", "0.5", "--spatial-cells", str(M), "--time-steps", str(N),
+            "--mesh", "graded:2", "--dump", dump, "--format", fmt,
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == dump_text(grid.x, mesh.t, values, dump, fmt)
 
 
 class TestRunStreaming:
@@ -237,6 +297,28 @@ class TestRunStreaming:
         assert rc == 1
         assert "solve failed" in capsys.readouterr().err
         assert not path.exists()
+
+    @pytest.mark.parametrize("dump, lines_read", [("lattice", 1), ("profile", 0)])
+    def test_closed_stdout_exits_one_quietly(self, dump, lines_read):
+        # ``| head -1`` on a lattice far larger than a pipe holds, so the
+        # writer meets the closed pipe mid-dump; and a profile small enough
+        # to sit in stdout's buffer, whose reader is gone before it starts.
+        # stdout is buffered, as it is by default.
+        src = Path(fracheat.cli.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        with subprocess.Popen(
+            [sys.executable, "-m", "fracheat.cli", "run", "--alpha", "0.5",
+             "--time-steps", "2000", "--dump", dump],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            lines = [proc.stdout.readline() for _ in range(lines_read)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+            rc = proc.wait(timeout=120)
+        assert lines == [b"t,x,u\n"][:lines_read]
+        assert rc == 1
+        assert err == b""
 
     @pytest.mark.parametrize("name", ["missing/out.csv", ""], ids=["no-such-dir", "a-dir"])
     def test_unwritable_output_exits_one(self, name, tmp_path, capsys):
