@@ -81,9 +81,6 @@ L1), on one block a full window past the start, and every block slices
 that block.  A full window's share column is the one-off block's first;
 a shorter one, from lo = 1, takes the shares of row 0 by lag from the
 one-off block's last level.
-That block's step integrals are gathered by lag from one row of
-``weights_row``, its last level's: the integer levels subtract exactly,
-so the gathered block is the one ``weights_row`` would give.
 
 Within a block, level i still needs the block's earlier levels: per mode
 m, u_i = c_i + f_m sum_{j<i} w_(i,j) u_j, with f_m = gain_m / den_m and
@@ -321,17 +318,17 @@ def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) 
     dst += part
 
 
-def _block_weights(levels, b, e, lo, scheme, integrals, fit, h, s):
+def _block_weights(levels, b, e, lo, scheme, kappa, unit, fit, h, s):
     """The weights of levels b..e-1 on ``levels``, from the window start lo >= 1.
 
-    ``integrals[i, k]`` is the step integral c_(lo+k) of level b + i, in
-    the units of ``levels``, and zero past that level: on a graded mesh
-    the block of ``weights_row`` from step lo, on a uniform one the
-    one-off block gathered by lag, in units of the step.  Returns (step,
-    w, den, lev, absorb):
+    The step integrals c_(lo+k) of level b + i are the block of
+    ``weights_row`` from step lo at order ``kappa``, times ``unit``: 1 on
+    a graded mesh, and on a uniform one in units of its step tau,
+    tau**kappa (tau**(kappa-1) for L1, whose steps are then 1).  Returns
+    (step, w, den, lev, absorb):
 
     * step[i, k], the weight e_(lo+k) of step lo + k in level n = b + i,
-      integrals[i, k] (divided by tau_(lo+k) for L1), zero past n;
+      c_(lo+k) (divided by tau_(lo+k) for L1), zero past n;
     * w[i, c], the weight of row j = lo - 1 + c in level n: theta e_lo for
       c = 0, then theta (e_(j+1) +- e_j) through row n (its own term) and
       zero past it, so that its columns from b - lo + 1 on, which weigh
@@ -348,7 +345,9 @@ def _block_weights(levels, b, e, lo, scheme, integrals, fit, h, s):
     theta, combine = _ENDS[scheme]
     t, l1 = levels.t, scheme is SchemeKind.L1
     tau = np.diff(t[lo - 1 : e])
-    step = integrals / tau if l1 else integrals
+    step = weights_row(kappa, levels, b, e, lo - 1) * unit
+    if l1:
+        step /= tau
     # Column c >= 1 joins steps c and c - 1; the last has no step c.
     w = np.empty((e - b, step.shape[1] + 1))
     w[:, 0] = step[:, 0]
@@ -477,14 +476,8 @@ def solve(
         states = np.zeros((len(rate), M + 1))
     inverse = None
     if uniform:
-        # The one-off block's step integrals depend only on the lag, so
-        # each level's row is its last level's, shifted left by the levels
-        # between them and padded with zeros.
-        row = weights_row(kappa, levels, width + height)
-        pad = np.concatenate((row, np.zeros(height - 1)))
-        integrals = np.lib.stride_tricks.sliding_window_view(pad, row.size)[::-1] * unit
         step, near, den, lev, absorb = _block_weights(
-            levels, width + 1, width + height + 1, 1, scheme, integrals, fit, h, s
+            levels, width + 1, width + height + 1, 1, scheme, kappa, unit, fit, h, s
         )
         # Row lo - 1 weighs share[n - lo] in level n, and a row k >= 1
         # levels back weighs entry k of the last row of ``near`` reversed.
@@ -509,8 +502,7 @@ def solve(
             if b - lo < width:
                 w = np.concatenate((share[b - lo : e - lo, None], w[:, 1:]), axis=1)
         else:
-            integrals = weights_row(kappa, mesh, b, e, lo - 1)
-            _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, integrals, fit, h, s)
+            _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, kappa, 1.0, fit, h, s)
             coupling = gain / den
         if base is not None:
             u[b:e] += base

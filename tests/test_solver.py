@@ -364,10 +364,10 @@ class TestBothSchemes:
 
     @pytest.mark.parametrize("N", [1, 5, 40, 4000])
     @pytest.mark.parametrize("scheme", list(SchemeKind))
-    def test_uniform_step_integrals_are_one_row_gathered_by_lag(self, monkeypatch, scheme, N):
-        # The one-off block of a uniform mesh, from one row of weights_row
-        # (its last level's), is bit for bit the block weights_row gives,
-        # zeros past each level included.
+    def test_uniform_step_integrals_are_one_block_call(self, monkeypatch, scheme, N):
+        # A uniform solve builds one block, a full window past the start on
+        # integer levels, with one call of weights_row whose block, times
+        # the unit of the step, holds its step integrals bit for bit.
         rows, blocks = [], []
         row, block_weights = fracheat.solver.weights_row, fracheat.solver._block_weights
 
@@ -375,19 +375,23 @@ class TestBothSchemes:
             rows.append(args)
             return row(*args)
 
-        def recorded(levels, b, e, lo, scheme, integrals, *rest):
-            blocks.append((levels, b, e, lo, np.array(integrals)))
-            return block_weights(levels, b, e, lo, scheme, integrals, *rest)
+        def recorded(levels, b, e, lo, scheme, kappa, unit, *rest):
+            weights = block_weights(levels, b, e, lo, scheme, kappa, unit, *rest)
+            blocks.append((levels, b, e, lo, kappa, unit, weights[0]))
+            return weights
 
         monkeypatch.setattr(fracheat.solver, "weights_row", counted_row)
         monkeypatch.setattr(fracheat.solver, "_block_weights", recorded)
         alpha = 0.5
         solve(manufactured_sin(alpha), SpatialGrid(8), uniform_time_mesh(1.0, N), scheme)
-        (levels, b, e, lo, got), = blocks
-        assert len(rows) == 1 and rows[0][2:] == (e - 1,)
-        kappa = 1.0 - alpha if scheme is SchemeKind.L1 else alpha
-        unit = (1.0 / N) ** (kappa - 1.0 if scheme is SchemeKind.L1 else kappa)
-        assert np.array_equal(got, row(kappa, levels, b, e, lo - 1) * unit)
+        (levels, b, e, lo, kappa, unit, step), = blocks
+        width = min(fracheat.solver._WINDOW, (N - 1) // fracheat.solver._BLOCK * fracheat.solver._BLOCK)
+        assert (b, e, lo) == (width + 1, width + 1 + min(fracheat.solver._BLOCK, N), 1)
+        assert np.array_equal(levels.t, np.arange(levels.N + 1.0))
+        assert len(rows) == 1 and rows[0][1:] == (levels, b, e, lo - 1)
+        assert kappa == (1.0 - alpha if scheme is SchemeKind.L1 else alpha)
+        assert unit == (1.0 / N) ** (kappa - 1.0 if scheme is SchemeKind.L1 else kappa)
+        assert np.array_equal(step, row(kappa, levels, b, e, lo - 1) * unit)
 
     @pytest.mark.parametrize("closed_form", [True, False])
     def test_graded_kernel_weights_stay_within_the_window(self, monkeypatch, closed_form):
@@ -843,7 +847,7 @@ class TestBlockWeights:
         rate, coef = fit = _exp_sum(1.0 - kappa, 1e-6, 1.0)
         assert rate.max() * (t[b] - t[lo - 1]) > clip
         integrals = weights_row(kappa, mesh, b, e, lo - 1)
-        step, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, integrals, fit, h, s)
+        step, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, kappa, 1.0, fit, h, s)
 
         # The decays, bit for bit as exp(-min(rate dt, _EXP_CLIP)) and
         # expm1, the clip reached, and no subnormal entry.
