@@ -9,10 +9,11 @@ On each step [t_{k-1}, t_k] the kernel factor is integrated exactly,
 
     a_k = ((t_n - t_{k-1})**alpha - (t_n - t_k)**alpha) / Gamma(1 + alpha),
 
-and g is replaced by its endpoint average (g_k + g_{k-1}) / 2.  The kernel
-singularity at s = t_n therefore never has to be sampled, and the weights
-telescope to t_n**alpha / Gamma(1 + alpha) exactly, which is the quadrature
-applied to g = 1.
+formed without the difference, which would cancel on steps short against
+t_n, and g is replaced by its endpoint average (g_k + g_{k-1}) / 2.  The
+kernel singularity at s = t_n therefore never has to be sampled, and the
+weights telescope to t_n**alpha / Gamma(1 + alpha) exactly, which is the
+quadrature applied to g = 1.
 
 Far from s = t_n the kernel is smooth, and the solver replaces it there by
 a sum of exponentials (``_exp_sum``), whose terms it can carry forward in
@@ -50,13 +51,13 @@ def weights_row(
     They serve both schemes of the solver: at the fractional order they
     weigh the transformed scheme's step averages, and at one minus it, over
     the step lengths, L1's difference quotients.  Returns the read-only row
-    a_1, ..., a_n of level n.  Every weight is
-    positive and finite for an admissible mesh, and the row sums to
-    t_n**alpha / Gamma(1 + alpha); a weight that rounds to zero (a step
-    too small against t_n) raises ValueError.  With ``stop``, returns the
-    rows of levels n..stop-1 as one (stop - n, stop - 1) array whose row i
-    is that of level n + i padded with zeros.  With ``start``, the steps
-    1..start are left out (and not checked): column k holds a_{start+k+1}.
+    a_1, ..., a_n of level n.  Every weight is positive and finite for an
+    admissible mesh, and the row sums to t_n**alpha / Gamma(1 + alpha); a
+    weight that underflows to zero (a step too small against t_n) raises
+    ValueError.  With ``stop``, returns the rows of levels n..stop-1 as one
+    (stop - n, stop - 1) array whose row i is that of level n + i padded
+    with zeros.  With ``start``, the steps 1..start are left out (and not
+    checked): column k holds a_{start+k+1}.
 
     Parameters
     ----------
@@ -74,11 +75,19 @@ def weights_row(
         raise ValueError(f"levels n..stop-1 must lie in 1..{mesh.N}, got {n}..{hi - 1}")
     if not 0 <= start < n:
         raise ValueError(f"start must lie in 0..{n - 1}, got {start}")
-    # Step k of level m takes (t_m - t_k)**alpha, clipped to 0 past t_m.
-    powers = np.maximum(mesh.t[n:hi, None] - mesh.t[start:hi], 0.0)
-    powers **= alpha
-    w = np.subtract(powers[:, :-1], powers[:, 1:])
-    w /= math.gamma(1.0 + alpha)
+    # Step k of level m, x = t_m - t_(k-1) >= tau_k, integrates to
+    # x**alpha - (x - tau_k)**alpha = -x**alpha expm1(alpha log1p(-tau_k / x)),
+    # which keeps its digits however short tau_k is against x.  The own step
+    # (x = tau_k) takes log1p(-1) = -inf to x**alpha; past level m, x is
+    # clipped to tau_k in the ratio and to 0 in the power, which gives +0.
+    tau = np.diff(mesh.t[start:hi])
+    x = mesh.t[n:hi, None] - mesh.t[start : hi - 1]
+    with np.errstate(divide="ignore"):
+        w = np.log1p(np.divide(-tau, np.maximum(x, tau)))
+    w *= alpha
+    np.expm1(w, out=w)
+    w *= np.power(np.maximum(x, 0.0, out=x), alpha, out=x)
+    w *= -1.0 / math.gamma(1.0 + alpha)
     # Level m has m - start weights, and its padding past them is exactly 0.
     ok, rows = (w > 0.0) & (w < np.inf), hi - n
     if np.count_nonzero(ok) != rows * (n - start) + rows * (rows - 1) // 2:

@@ -72,13 +72,13 @@ form for both schemes.  A block costs three matrix products (window rows,
 states, absorption), a fourth over its own F rows with quadrature forcing,
 and the solve O(M N (W + N_exp)), with N_exp about 80 to 250 terms;
 solves that no step leaves before their last block build no states.
-``_block_weights`` builds a block's weights, denominators, the
-states' decay to its levels and their absorption weights.  A graded mesh
-calls it once per block.  On a uniform mesh (steps equal to the rounding
-of the levels) they depend only on lags, so it runs once, in units of the
-step (integer levels, weights times tau**kappa, or tau**(kappa-1) for
-L1), on one block a full window past the start, and every block slices
-that block.  A full window's share column is the one-off block's first;
+``_block_weights`` builds a block's weights, from one block of
+``weights_row``, its denominators, the states' decay to its levels and
+their absorption weights.  A graded mesh calls it once per block.  On a
+uniform mesh (steps equal to the rounding of the levels) they depend only
+on lags, so it runs once, in units of the step (integer levels, weights
+times tau**kappa, or tau**(kappa-1) for L1), on one block a full window
+past the start, and every block slices that block.  A full window's share column is the one-off block's first;
 a shorter one, from lo = 1, takes the shares of row 0 by lag from the
 one-off block's last level.
 
@@ -290,15 +290,15 @@ def _leaf_inverse(lag: np.ndarray, f: np.ndarray, size: int) -> np.ndarray:
     f = f.copy()
     f[[0, -1]] = 0.0
     # Row size - 1 + d holds G_d after size - 1 rows of zeros, so row
-    # size - 1 + i - j holds entry [j, i].
+    # size - 1 + i - j holds entry [j, i]: window size - 1 - j of rows,
+    # entry i of the window.
     g = np.zeros((2 * size - 1, f.size))
     g[size - 1] = 1.0
     for d in range(1, size):
         row = g[size - 1 + d]
         np.dot(lag[d:0:-1], g[size - 1 : size - 1 + d], out=row)
         row *= f
-    i = np.arange(size)
-    return np.take(np.ascontiguousarray(g.T), size - 1 + i - i[:, None], axis=1)
+    return np.lib.stride_tricks.sliding_window_view(g.T, size, axis=1)[:, ::-1].copy()
 
 
 def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) -> None:
@@ -321,11 +321,10 @@ def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) 
 def _block_weights(levels, b, e, lo, scheme, kappa, unit, fit, h, s):
     """The weights of levels b..e-1 on ``levels``, from the window start lo >= 1.
 
-    The step integrals c_(lo+k) of level b + i are the block of
-    ``weights_row`` from step lo at order ``kappa``, times ``unit``: 1 on
-    a graded mesh, and on a uniform one in units of its step tau,
-    tau**kappa (tau**(kappa-1) for L1, whose steps are then 1).  Returns
-    (step, w, den, lev, absorb):
+    One block of ``weights_row`` at order ``kappa``, times ``unit``, gives
+    the step integrals c_(lo+k) of level b + i: ``unit`` is 1 on a graded
+    mesh, tau**kappa on a uniform one in units of its step tau
+    (tau**(kappa-1) for L1).  Returns (step, w, den, lev, absorb):
 
     * step[i, k], the weight e_(lo+k) of step lo + k in level n = b + i,
       c_(lo+k) (divided by tau_(lo+k) for L1), zero past n;
@@ -462,12 +461,10 @@ def solve(
     # mesh slices blocks of ``width`` window rows and ``height`` levels.
     last = (N - 1) // _BLOCK * _BLOCK
     width, height = min(_WINDOW, last), min(_BLOCK, N)
-    uniform = _is_uniform(mesh.t)
+    uniform, levels, unit = _is_uniform(mesh.t), mesh, 1.0
     if uniform:
         levels = TemporalMesh(np.arange(max(N, width + height) + 1.0))
         unit = (mesh.T / N) ** (kappa - 1.0 if l1 else kappa)
-    else:
-        levels, unit = mesh, 1.0
     t, fit, states = levels.t, None, None
     if last > _WINDOW:
         delta = np.min(t[_WINDOW : N + 1] - t[: N + 1 - _WINDOW])

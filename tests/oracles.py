@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: dense
 matrices instead of banded stencils, adaptive quadrature after a
-desingularizing substitution instead of product quadrature, and the Beta
-identity for fractional integrals of monomials.
+desingularizing substitution instead of product quadrature, the Beta
+identity for fractional integrals of monomials, and a march of each sine
+mode over the whole history instead of windows and exponential sums.
 """
 
 from __future__ import annotations
@@ -89,6 +90,78 @@ def fractional_integral_quad(g, alpha: float, t: float) -> float:
 
     val, _ = quad(integrand, 0.0, t**alpha, limit=400)
     return val / math.gamma(alpha + 1.0)
+
+
+def kernel_step_integrals(kappa: float, t: np.ndarray, n: int) -> np.ndarray:
+    """c_1, ..., c_n of level n: the step integrals of (t_n - s)**(kappa-1) / Gamma(kappa).
+
+    c_k = x**kappa - (x - tau_k)**kappa over Gamma(1 + kappa), with
+    x = t_n - t_(k-1), taken as -x**kappa expm1(kappa log1p(-tau_k / x)) so
+    that a step short against x keeps its digits; the own step, x = tau_n,
+    gives x**kappa.
+    """
+    x = t[n] - t[:n]
+    with np.errstate(divide="ignore"):
+        c = -(x**kappa) * np.expm1(kappa * np.log1p(-np.diff(t[: n + 1]) / x))
+    return c / math.gamma(1.0 + kappa)
+
+
+def per_mode_march(problem, M: int, t: np.ndarray, l1: bool) -> np.ndarray:
+    """Either scheme as a march of each sine mode over the whole history.
+
+    With eta_m = 1 - s_m / 3 and mu_m = 4 s_m M**2, s_m = sin(m pi / 2M)**2,
+    the eigenvalues of the compact average H and of minus the second
+    difference on mode m, and the step integrals c_k of
+    ``kernel_step_integrals``, the mode's amplitude U^n at level n solves
+
+    * transformed (kappa = alpha, e_k = c_k):
+      (eta + e_n mu / 2) U^n = eta U^0 + Q^n
+          - mu (sum_{k<n} e_k (U^(k-1) + U^k) / 2 + e_n U^(n-1) / 2),
+      with Q^n the closed-form fractional integral of the forcing, or
+      sum_k e_k (F^(k-1) + F^k) / 2 without one;
+    * L1 (kappa = 1 - alpha, d_k = c_k / tau_k):
+      (d_n eta + mu) U^n = eta (d_n U^(n-1) - sum_{k<n} d_k (U^k - U^(k-1))) + F^n,
+
+    where U^0 is the sine transform of phi's interior and F^n (Q^n) that of
+    H f(t_n) (H q(t_n)), boundary values included, by a dense sine matrix.
+    Every level weighs all of its history with c_k, in O(N**2 M).  Returns
+    the (N + 1, M + 1) lattice, row 0 phi as sampled.
+    """
+    alpha, N = problem.alpha, t.size - 1
+    x = np.linspace(0.0, 1.0, M + 1)
+    m = np.arange(1, M)
+    S = np.sin(np.pi * np.outer(m, m) / M)
+    s = np.sin(0.5 * np.pi * m / M) ** 2
+    eta, mu = 1.0 - s / 3.0, 4.0 * s * M * M
+    H = dense_compact_matrix(M)
+    phi = np.asarray(problem.phi(x), dtype=float)
+    U = np.zeros((N + 1, M - 1))
+    U[0] = phi[1:M] @ S
+    closed = not l1 and problem.exact_f_conv is not None
+    if closed:
+        q = np.broadcast_to(problem.exact_f_conv(x, t[:, None]), (N + 1, M + 1))
+    else:
+        q = np.stack([np.asarray(problem.f(x, float(tn)), dtype=float) for tn in t])
+    F = (q @ H.T)[:, 1:M] @ S
+    # pair[k] is (U^(k-1) + U^k) / 2 for the transformed scheme and
+    # U^k - U^(k-1) for L1, filled in as the levels are solved.
+    pair = np.zeros_like(U)
+    for n in range(1, N + 1):
+        c = kernel_step_integrals(1.0 - alpha if l1 else alpha, t, n)
+        if l1:
+            d = c / np.diff(t[: n + 1])
+            hist = d[-1] * U[n - 1] - d[:-1] @ pair[1:n]
+            U[n] = (eta * hist + F[n]) / (d[-1] * eta + mu)
+            pair[n] = U[n] - U[n - 1]
+        else:
+            Q = F[n] if closed else c @ (F[:n] + F[1 : n + 1]) / 2.0
+            hist = c[:-1] @ pair[1:n] + c[-1] * U[n - 1] / 2.0
+            U[n] = (eta * U[0] + Q - mu * hist) / (eta + c[-1] * mu / 2.0)
+            pair[n] = (U[n - 1] + U[n]) / 2.0
+    u = np.zeros((N + 1, M + 1))
+    u[:, 1:M] = U @ S * (2.0 / M)
+    u[0] = phi
+    return u
 
 
 def dump_text(x, t, values, dump: str, fmt: str) -> str:

@@ -80,21 +80,23 @@ def _run_optimized(code: str) -> subprocess.CompletedProcess:
             "ValueError: exact_f_conv must map x of shape (M+1,) and t of shape (k, 1)",
         ),
         (
+            # At t_2 = 1e300 the weight of the first step, about 1e-450,
+            # underflows.
             """
             import numpy as np
             from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
-            mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]))
+            mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1e300]))
             solve(manufactured_sin(0.5), SpatialGrid(8), mesh)
             """,
             "ValueError: kernel weight a_1 of level 2 is not positive and finite",
         ),
         (
-            # Steps of 1e-300 up to t_34, then t_35 = 0.5: a_1 of level 35
-            # rounds to zero, inside the second block of levels [33, 41).
+            # Steps of 1e-300 up to t_34, then t_35 = 1e300: a_1 of level 35
+            # underflows, inside the second block of levels [33, 41).
             """
             import numpy as np
             from fracheat import SpatialGrid, TemporalMesh, manufactured_sin, solve
-            t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
+            t = np.concatenate((np.arange(35) * 1e-300, np.linspace(1e300, 2e300, 6)))
             solve(manufactured_sin(0.5), SpatialGrid(8), TemporalMesh(t=t))
             """,
             "ValueError: kernel weight a_1 of level 35 is not positive and finite",

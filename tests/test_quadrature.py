@@ -55,11 +55,17 @@ class TestWeights:
             assert row[0] <= mesh.T**alpha / gamma(1.0 + alpha)
 
     def test_weight_rounding_to_zero_raises(self):
-        # At t_2 = 1 the first step of 1e-300 leaves (1 - 1e-300)**alpha = 1.
-        mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1.0]))
+        # At t_2 = 1e300 the first step of 1e-300 weighs about
+        # alpha 1e-450 / Gamma(1 + alpha), below the smallest double.
+        mesh = TemporalMesh(t=np.array([0.0, 1e-300, 1e300]))
         assert weights_row(0.5, mesh, 1)[0] > 0.0
         with pytest.raises(ValueError, match="weight a_1 of level 2 is not positive"):
             weights_row(0.5, mesh, 2)
+        # At t_2 = 1 that weight, alpha 1e-300 / Gamma(1 + alpha) to first
+        # order, is representable: the two powers it is the difference of
+        # both round to 1, but it keeps its digits.
+        row = weights_row(0.5, TemporalMesh(t=np.array([0.0, 1e-300, 1.0])), 2)
+        assert row[0] == pytest.approx(0.5e-300 / gamma(1.5), rel=1e-15)
 
     def test_row_is_read_only(self):
         row = weights_row(0.5, uniform_time_mesh(1.0, 4), 3)
@@ -91,9 +97,9 @@ class TestWeights:
                     assert not block[i, level:].any()
 
     def test_block_names_the_first_bad_weight(self):
-        # Steps of 1e-300 up to t_34, then t_35 = 0.5: from level 35 on,
-        # every weight of those steps rounds to zero.
-        t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
+        # Steps of 1e-300 up to t_34, then t_35 = 1e300: from level 35 on,
+        # every weight of those steps, about 1e-450, underflows to zero.
+        t = np.concatenate((np.arange(35) * 1e-300, np.linspace(1e300, 2e300, 6)))
         mesh = TemporalMesh(t=t)
         assert weights_row(0.5, mesh, 1, 35).shape == (34, 34)
         with pytest.raises(ValueError, match="weight a_1 of level 35 is not positive"):
@@ -116,8 +122,8 @@ class TestWeights:
 
     def test_start_checks_only_the_steps_it_keeps(self):
         # The mesh of ``test_block_names_the_first_bad_weight``: from level 35
-        # on, the weights of steps 1..34 round to zero.
-        t = np.concatenate((np.arange(35) * 1e-300, np.linspace(0.5, 1.0, 6)))
+        # on, the weights of steps 1..34 underflow to zero.
+        t = np.concatenate((np.arange(35) * 1e-300, np.linspace(1e300, 2e300, 6)))
         mesh = TemporalMesh(t=t)
         with pytest.raises(ValueError, match="weight a_11 of level 35 is not positive"):
             weights_row(0.5, mesh, 33, 41, 10)

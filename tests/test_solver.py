@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fracheat.cli
 import fracheat.solver
 from fracheat.harness import max_lattice_error
 from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
@@ -1173,6 +1174,21 @@ class TestL1Scheme:
         got = solve(sine_decay(alpha), grid, mesh, SchemeKind.L1).values
         ref = np.multiply.outer(_longdouble_l1_mode(alpha, M, mesh), np.sin(np.pi * grid.x))
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_cli_graded_8_line_matches_a_longdouble_march(self, capsys):
+        # The first step is 1e-16, and the weights of the early steps in
+        # the last levels cancel in a difference of powers: formed that
+        # way, this line printed u(1/2, 1) = 0.07721192895, 4.2e-4 off.
+        fracheat.cli.main([
+            "run", "--problem", "sine-decay", "--scheme", "l1", "--alpha", "0.25",
+            "--mesh", "graded:8", "--time-steps", "100", "--spatial-cells", "16",
+        ])
+        assert "0.5,0.0771796718" in capsys.readouterr().out.splitlines()
+        M, mesh = 16, graded_time_mesh(1.0, 100, 8.0)
+        grid = SpatialGrid(M)
+        got = solve(sine_decay(0.25), grid, mesh, SchemeKind.L1).values
+        ref = np.multiply.outer(_longdouble_l1_mode(0.25, M, mesh), np.sin(np.pi * grid.x))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_converges_on_reference_problem(self):
         p = manufactured_sin(0.5)
