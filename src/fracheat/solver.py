@@ -78,9 +78,9 @@ their absorption weights.  A graded mesh calls it once per block.  On a
 uniform mesh (steps equal to the rounding of the levels) they depend only
 on lags, so it runs once, in units of the step (integer levels, weights
 times tau**kappa, or tau**(kappa-1) for L1), on one block a full window
-past the start, and every block slices that block.  A full window's share column is the one-off block's first;
-a shorter one, from lo = 1, takes the shares of row 0 by lag from the
-one-off block's last level.
+past the start, and every block slices that block.  A full window's share
+column is the one-off block's first; a shorter one, from lo = 1, takes
+the shares of row 0 by lag from the one-off block's last level.
 
 Within a block, level i still needs the block's earlier levels: per mode
 m, u_i = c_i + f_m sum_{j<i} w_(i,j) u_j, with f_m = gain_m / den_m and
@@ -289,9 +289,8 @@ def _leaf_inverse(lag: np.ndarray, f: np.ndarray, size: int) -> np.ndarray:
     """
     f = f.copy()
     f[[0, -1]] = 0.0
-    # Row size - 1 + d holds G_d after size - 1 rows of zeros, so row
-    # size - 1 + i - j holds entry [j, i]: window size - 1 - j of rows,
-    # entry i of the window.
+    # Row size - 1 + d holds G_d after size - 1 rows of zeros, so entry
+    # [j, i] is entry i of the window of rows from size - 1 - j.
     g = np.zeros((2 * size - 1, f.size))
     g[size - 1] = 1.0
     for d in range(1, size):
@@ -461,10 +460,12 @@ def solve(
     # mesh slices blocks of ``width`` window rows and ``height`` levels.
     last = (N - 1) // _BLOCK * _BLOCK
     width, height = min(_WINDOW, last), min(_BLOCK, N)
-    uniform, levels, unit = _is_uniform(mesh.t), mesh, 1.0
+    uniform = _is_uniform(mesh.t)
     if uniform:
         levels = TemporalMesh(np.arange(max(N, width + height) + 1.0))
         unit = (mesh.T / N) ** (kappa - 1.0 if l1 else kappa)
+    else:
+        levels, unit = mesh, 1.0
     t, fit, states = levels.t, None, None
     if last > _WINDOW:
         delta = np.min(t[_WINDOW : N + 1] - t[: N + 1 - _WINDOW])

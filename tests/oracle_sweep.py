@@ -117,7 +117,8 @@ def check(case: Case) -> str:
             with np.errstate(all="ignore"):
                 ref = per_mode_march(p, case.M, mesh.t, l1)
             n = int(level[1])
-            _require(not np.isfinite(ref[: n + 1]).all(), f"{case}: refused, but the oracle is finite")
+            finite = np.isfinite(ref[: n + 1]).all()
+            _require(not finite, f"{case}: refused, but the oracle is finite")
             return f"refused: {message}"
         raise AssertionError(f"{case}: refused for no named cause: {message}") from exc
     ref = per_mode_march(p, case.M, mesh.t, l1)

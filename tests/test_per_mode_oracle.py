@@ -8,7 +8,7 @@ from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
 from fracheat.problems import manufactured_sin, sine_decay
 from fracheat.quadrature import weights_row
 from fracheat.solver import SchemeKind, solve
-from oracle_sweep import cases, check
+from oracle_sweep import PROBLEMS, cases, check
 from oracles import kernel_step_integrals, per_mode_march
 from test_solver import _dense_march
 
@@ -89,7 +89,7 @@ def test_the_sample_covers_the_paths():
     # N = _WINDOW + _BLOCK + 1), both transforms, uniform and strongly
     # graded meshes.
     assert {c.scheme for c in _SAMPLE} == set(SchemeKind)
-    assert {c.problem for c in _SAMPLE} == {"manufactured-sin", "manufactured-sin-quadrature", "sine-decay"}
+    assert {c.problem for c in _SAMPLE} == set(PROBLEMS)
     assert any(c.N > 160 for c in _SAMPLE) and any(c.N <= 32 for c in _SAMPLE)
     assert any(c.M <= 255 for c in _SAMPLE) and any(c.M == 256 for c in _SAMPLE)
     assert any(c.r > 8.0 for c in _SAMPLE) and any(c.r == 1.0 for c in _SAMPLE)
