@@ -77,16 +77,16 @@ def weights_row(
         raise ValueError(f"start must lie in 0..{n - 1}, got {start}")
     # Step k of level m, x = t_m - t_(k-1) >= tau_k, integrates to
     # x**alpha - (x - tau_k)**alpha = -x**alpha expm1(alpha log1p(-tau_k / x)),
-    # which keeps its digits however short tau_k is against x.  The own step
-    # (x = tau_k) takes log1p(-1) = -inf to x**alpha; past level m, x is
-    # clipped to tau_k in the ratio and to 0 in the power, which gives +0.
+    # which keeps its digits however short tau_k is.  The own step (x =
+    # tau_k) gives x**alpha; past level m, x is clipped to tau_k in the ratio
+    # and to 0 in the power (``**``, a square root at alpha = 1/2), giving +0.
     tau = np.diff(mesh.t[start:hi])
     x = mesh.t[n:hi, None] - mesh.t[start : hi - 1]
     with np.errstate(divide="ignore"):
         w = np.log1p(np.divide(-tau, np.maximum(x, tau)))
     w *= alpha
     np.expm1(w, out=w)
-    w *= np.power(np.maximum(x, 0.0, out=x), alpha, out=x)
+    w *= np.maximum(x, 0.0, out=x) ** alpha
     w *= -1.0 / math.gamma(1.0 + alpha)
     # Level m has m - start weights, and its padding past them is exactly 0.
     ok, rows = (w > 0.0) & (w < np.inf), hi - n
