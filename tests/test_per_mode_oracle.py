@@ -81,7 +81,7 @@ _SAMPLE = cases(1, 60)
 
 @pytest.mark.parametrize("case", [pytest.param(c, id=f"draw-{i}") for i, c in enumerate(_SAMPLE)])
 def test_sampled_solve_agrees_with_the_oracle_or_names_a_cause(case):
-    assert check(case).startswith(("agrees", "refused"))
+    assert check(case)[0] in ("agrees", "refused")
 
 
 def test_the_sample_covers_the_paths():

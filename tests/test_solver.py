@@ -386,8 +386,9 @@ class TestBothSchemes:
         alpha = 0.5
         solve(manufactured_sin(alpha), SpatialGrid(8), uniform_time_mesh(1.0, N), scheme)
         (levels, b, e, lo, kappa, unit, step), = blocks
-        width = min(fracheat.solver._WINDOW, (N - 1) // fracheat.solver._BLOCK * fracheat.solver._BLOCK)
-        assert (b, e, lo) == (width + 1, width + 1 + min(fracheat.solver._BLOCK, N), 1)
+        window, block = fracheat.solver._WINDOW, fracheat.solver._BLOCK
+        width = min(window, (N - 1) // block * block)
+        assert (b, e, lo) == (width + 1, width + 1 + min(block, N), 1)
         assert np.array_equal(levels.t, np.arange(levels.N + 1.0))
         assert len(rows) == 1 and rows[0][1:] == (levels, b, e, lo - 1)
         assert kappa == (1.0 - alpha if scheme is SchemeKind.L1 else alpha)
