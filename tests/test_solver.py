@@ -390,7 +390,7 @@ class TestBothSchemes:
         width = min(window, (N - 1) // block * block)
         assert (b, e, lo) == (width + 1, width + 1 + min(block, N), 1)
         assert np.array_equal(levels.t, np.arange(levels.N + 1.0))
-        assert len(rows) == 1 and rows[0][1:] == (levels, b, e, lo - 1)
+        assert len(rows) == 1 and rows[0][1] is levels and rows[0][2:] == (b, e, lo - 1)
         assert kappa == (1.0 - alpha if scheme is SchemeKind.L1 else alpha)
         assert unit == (1.0 / N) ** (kappa - 1.0 if scheme is SchemeKind.L1 else kappa)
         assert np.array_equal(step, row(kappa, levels, b, e, lo - 1) * unit)
