@@ -116,9 +116,17 @@ def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
 
     r = 1 delegates to ``uniform_time_mesh`` so the two constructions agree
     bit for bit.  r > 1 compresses early steps to compensate the kernel
-    singularity; r < 1 is rejected because it would do the opposite.
+    singularity; r < 1 is rejected because it would do the opposite, and
+    so is an r that rounds a level to the one before it.
     """
     _check_grading(r)
     if r == 1.0:
         return uniform_time_mesh(T, N)
-    return TemporalMesh(t=T * _unit_levels(T, N) ** r)
+    t = T * _unit_levels(T, N) ** r
+    n = int(np.argmin(np.diff(t) > 0.0)) + 1
+    if not t[n] > t[n - 1]:
+        raise ValueError(
+            f"grading r={r} is too strong for N={N} steps: t_{n} = T*({n}/{N})**r "
+            f"rounds to t_{n - 1} = {t[n - 1]:g}"
+        )
+    return TemporalMesh(t=t)

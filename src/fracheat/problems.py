@@ -97,12 +97,12 @@ class ProblemSpec:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         ends = np.asarray(self.phi(np.array([0.0, 1.0])), dtype=float)
-        if np.max(np.abs(ends)) > 1e-12:
+        if not np.max(np.abs(ends)) <= 1e-12:
             raise ValueError("initial data must vanish at both boundaries")
         xs = np.linspace(0.0, 1.0, 5)
         if self.exact_u is not None:
             gap = np.max(np.abs(self.exact_u(xs, 0.0) - self.phi(xs)))
-            if gap > 1e-12:
+            if not gap <= 1e-12:
                 raise ValueError("exact_u at t=0 does not reproduce phi")
         if self.exact_f_conv is not None:
             try:

@@ -69,9 +69,9 @@ those steps referenced to t_(lo-1): when a block is done they decay to
 the next window start and absorb the steps that leave, each as its
 source.  So every step is weighed whole, by the fit or exactly, in one
 form for both schemes.  A block costs three matrix products (window rows,
-states, absorption), a fourth over its own F rows with quadrature forcing,
-and the solve O(M N (W + N_exp)), with N_exp about 80 to 250 terms;
-solves that no step leaves before their last block build no states.
+states, absorption) on every path, and the solve O(M N (W + N_exp)), with
+N_exp about 80 to 250 terms; solves that no step leaves before their last
+block build no states.
 ``_block_weights`` builds a block's weights, from one block of
 ``weights_row``, its denominators, the states' decay to its levels and
 their absorption weights.  A graded mesh calls it once per block.  On a
@@ -84,29 +84,26 @@ the shares of row 0 by lag from the one-off block's last level.
 
 Within a block, level i still needs the block's earlier levels: per mode
 m, u_i = c_i + f_m sum_{j<i} w_(i,j) u_j, with f_m = gain_m / den_m and
-w_(i,j) the weight of level j in level i.  With quadrature forcing, one
-more product per block puts the block's own F rows into the c_i, with
-the same weights and the own e_i / 2 F_i; the rows from the first one
-that is not finite go only to the levels from it on, since a zero weight
-times a NaN is NaN.  So every leaf reads only solved rows of u, and z
-takes its gain u once the block is solved.  On a uniform mesh w_(i,j) =
-lag_(i-j), the same lower-triangular Toeplitz system in every block, so
-its inverse, G_0 = 1 and G_d = f_m sum_{k=1..d} lag_k G_{d-k}, is built
-once per solve for leaves of ``_LEAF`` levels.  Every block is solved a
-leaf at a time: one product adds the block's rows before the leaf, and
-where the inverse applies one batched product then solves the leaf.
-Otherwise the leaves are one level each, which one vector-matrix product
-solves: on graded meshes, whose system changes from block to block, on
-wide grids (M > 255), where the inverse outgrows ``_CHUNK_BYTES`` (and by
-M = 2000 its per-mode products are slower than row products), and in
-blocks whose right-hand side is not finite once the block-level products
-are in (the inverse's zeros would carry a NaN into earlier levels).
-Either way no level reads a later one.
+w_(i,j) the weight of level j in level i.  With quadrature forcing the
+window product runs on through the block's own F rows, with the same
+weights and the own e_i / 2 F_i, so they are in the c_i: every leaf reads
+only solved rows of u, and z takes its gain u once the block is solved.
+On a uniform mesh w_(i,j) = lag_(i-j), the same lower-triangular Toeplitz
+system in every block, so its inverse, G_0 = 1 and G_d = f_m sum_{k=1..d}
+lag_k G_{d-k}, is built once per solve for leaves of ``_LEAF`` levels.
+Every block is solved a leaf at a time: one product adds the block's rows
+before the leaf, and where the inverse applies one batched product then
+solves the leaf.  Otherwise the leaves are one level each, which one
+vector-matrix product solves: on graded meshes, whose system changes from
+block to block, on wide grids (M > 255), where the inverse outgrows
+``_CHUNK_BYTES`` (and by M = 2000 its per-mode products are slower than
+row products).  Either way no level reads a later one.
 
-The transforms mix nodes within a level but never across levels (a row
-of a product with the basis is one level), so a non-finite level can
-still only come from non-finite (or overflowing) forcing or initial
-data, and ``solve`` names the first one instead of returning it.
+The transforms mix nodes within a level but never across levels, so
+``solve`` checks the data where it enters: phi before its transform, and
+each block's forcing rows (row 0 of z as level 1's) after the block's
+weights, before the march reads them.  Sums of finite data that overflow
+are named as the levels are transformed out.
 """
 
 from __future__ import annotations
@@ -304,9 +301,9 @@ def _add_products(dst: np.ndarray, weights: np.ndarray, src: np.ndarray, scale) 
     """Add ``weights @ src``, times ``scale``, to ``dst``.
 
     One matrix product over all columns.  ``solve`` passes as ``src`` the
-    window rows from lo - 1 (at most W + 1), the states, the sources of
-    the steps that leave the window, a block's own F rows, or a leaf's
-    solved rows of u before it in its block, so each product stays small.
+    window rows from lo - 1 (with quadrature forcing, through the block's
+    own F rows), the states, the sources of the steps that leave the
+    window, or a leaf's solved rows of u before it, so each stays small.
     ``scale`` is a float (a unit float multiplies nothing), ``gain`` (one
     row of one factor per column), or for a leaf one row of gain / den per
     level.
@@ -380,9 +377,10 @@ def _block_weights(levels, b, e, lo, scheme, kappa, unit, fit, h, s):
 
 def _check_finite(levels: np.ndarray, n: int, mesh: TemporalMesh) -> None:
     """Raise ValueError naming the first of the ``levels`` n, n + 1, ...
-    (rows, or one level as a row) that is not finite."""
-    finite = np.isfinite(levels).all(axis=-1)
-    if not finite.all():
+    (rows, or one level as a row) that is not finite; one test of the
+    whole array first keeps the check of a finite block cheap."""
+    if not np.isfinite(levels).all():
+        finite = np.isfinite(levels).all(axis=-1)
         n += int(np.argmin(finite))
         raise ValueError(
             f"solution level {n} (t = {mesh.t[n]:g}) is not finite: the forcing "
@@ -408,6 +406,7 @@ def solve(
     """
     alpha, x, h, M, N = problem.alpha, grid.x, grid.h, grid.M, mesh.N
     phi = np.asarray(problem.phi(x), dtype=float)
+    _check_finite(phi, 0, mesh)
     s = np.sin(0.5 * np.pi * h * np.arange(M + 1)) ** 2
     eta = 1.0 - s / 3.0
     # Rows hold sine coefficients until the march is done, row 0 those of
@@ -454,6 +453,7 @@ def solve(
         block[:] = _sine(block, average=True)
     if z is not None:
         z[:1] += gain * u[:1]
+        _check_finite(z[0], 1, mesh)
 
     # Blocks [b, e) start at 1, the last at last + 1.  The states are set
     # up only if a step leaves the window before the last block; a uniform
@@ -502,30 +502,22 @@ def solve(
         else:
             _, w, den, lev, absorb = _block_weights(mesh, b, e, lo, scheme, kappa, 1.0, fit, h, s)
             coupling = gain / den
+        # The march reads only finite data: each block's forcing rows are
+        # checked after its weights, before any product reads them.
+        _check_finite(src[b:e], b, mesh)
         if base is not None:
             u[b:e] += base
-        _add_products(u[b:e], w[:, : b - lo + 1], src[lo - 1 : b], scale)
+        # With quadrature forcing the window runs on through the block's F rows.
+        stop = b if z is None else e
+        _add_products(u[b:e], w[:, : stop - lo + 1], src[lo - 1 : stop], scale)
         if lo > 1:
             _add_products(u[b:e], lev[: e - b], states, scale)
         # The in-block weights: row i weighs level b + j at column j, j <= i.
         inner = w[:, b - lo + 1 : e - lo + 1]
-        if z is not None:
-            # The block's own F rows, F_n in level n with weight e_n / 2
-            # included.  A level weighs later rows by 0, but 0 times NaN is
-            # NaN: the rows from the first one that is not finite reach only
-            # the levels from it on.
-            finite = np.isfinite(z[b:e]).all(axis=1)
-            k = e - b if finite.all() else int(np.argmin(finite))
-            if k:
-                _add_products(u[b:e], inner[:, :k], z[b : b + k], 1.0)
-            if k < e - b:
-                _add_products(u[b + k : e], inner[k:, k:], z[b + k : e], 1.0)
         u[b:e] /= den[: e - b]
-        # Leaves of ``leaf`` levels where the inverse applies, else of one
-        # level: a NaN in the block's rows would reach earlier levels
-        # through the inverse's zeros.  Either way each leaf adds the solved
-        # rows of u before it in the block.
-        if inverse is not None and np.isfinite(u[b:e]).all():
+        # Leaves of ``leaf`` levels by the inverse, else of one level; each
+        # adds the solved rows of u before it in the block.
+        if inverse is not None:
             for c in range(b, e, leaf):
                 d = min(c + leaf, e)
                 if c > b:
@@ -550,9 +542,8 @@ def solve(
             _add_products(states, absorb[:, lo - out :], leaving, 1.0)
 
     # Back to nodal values, in the same blocks of rows, each checked as it
-    # is written.  Row 0 gets phi as sampled, checked first.
+    # is written for sums of finite data that overflowed; row 0 is phi.
     u[0] = phi
-    _check_finite(phi, 0, mesh)
     for c in range(1, N + 1, rows):
         block = u[c : c + rows]
         block[:] = _sine(block) * (2.0 / M)

@@ -6,11 +6,13 @@ Each draw picks a fractional order, a final time, a uniform or graded
 mesh, N, M, a scheme and a problem (``manufactured-sin`` with closed-form
 or quadrature forcing, or ``sine-decay``).  Its solve must agree with
 ``oracles.per_mode_march`` within ``TOL`` of the lattice's largest value,
-or raise ValueError naming a cause: graded levels that collide, or a
-kernel weight that underflows or a level that is not finite, each of which
-the oracle must confirm.  The script prints each draw that fails and a
-summary, and exits 1 if any failed; ``tests/test_per_mode_oracle.py`` runs
-a sample of the same draws.
+or raise ValueError naming a cause: graded levels that collide, a kernel
+weight that underflows or a level that is not finite, each of which
+T*(n/N)**r or the oracle must confirm.  A draw that agrees is solved once
+more with its forcing NaN from a drawn level n on, and must name level
+max(n, 1), the first to read that forcing.  The script prints each draw
+that fails and a summary, and exits 1 if any failed;
+``tests/test_per_mode_oracle.py`` runs a sample of the same draws.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ PROBLEMS = ("manufactured-sin", "manufactured-sin-quadrature", "sine-decay")
 
 _WEIGHT = re.compile(r"kernel weight a_(\d+) of level (\d+) is not positive and finite")
 _LEVEL = re.compile(r"solution level (\d+) \(t = .*\) is not finite")
-_MESH = "time levels must be strictly increasing"
+_MESH = re.compile(r"grading r=\S+ is too strong for N=\d+ steps: t_(\d+) = ")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,6 +57,8 @@ class Case:
     M: int
     scheme: SchemeKind
     problem: str
+    # The level from which the forcing of the poisoned re-solve is NaN.
+    poison: int
 
     def __str__(self) -> str:
         return (
@@ -70,23 +74,29 @@ class Case:
         return p, graded_time_mesh(self.T, self.N, self.r)
 
 
-def draw(rng: np.random.Generator) -> Case:
+def draw(rng: np.random.Generator, levels: np.random.Generator) -> Case:
+    """One case from ``rng``, and its poisoned level from ``levels``."""
     alpha = float(rng.choice(ALPHAS))
     r = GRADINGS[rng.integers(len(GRADINGS))]
+    T = float(rng.choice(TIMES))
+    N = int(rng.choice(NS))
     return Case(
         alpha=alpha,
-        T=float(rng.choice(TIMES)),
+        T=T,
         r=(2.0 - alpha) / alpha if r is None else r,
-        N=int(rng.choice(NS)),
+        N=N,
         M=int(rng.choice(MS)),
         scheme=list(SchemeKind)[rng.integers(2)],
         problem=str(rng.choice(PROBLEMS)),
+        poison=int(levels.integers(N + 1)),
     )
 
 
 def cases(seed: int, count: int) -> list[Case]:
-    rng = np.random.default_rng(seed)
-    return [draw(rng) for _ in range(count)]
+    # The poisoned levels come from a stream of their own, so that the
+    # cases are drawn from ``seed`` as they were before it.
+    rng, levels = np.random.default_rng(seed), np.random.default_rng([seed, 1])
+    return [draw(rng, levels) for _ in range(count)]
 
 
 def _require(ok: bool, message: str) -> None:
@@ -108,8 +118,11 @@ def check(case: Case) -> tuple[str, object]:
         got = solve(p, SpatialGrid(case.M), mesh, case.scheme).values
     except ValueError as exc:
         message = str(exc)
-        weight, level = _WEIGHT.search(message), _LEVEL.search(message)
-        if message == _MESH:
+        weight, level, collide = (cause.search(message) for cause in (_WEIGHT, _LEVEL, _MESH))
+        if collide:
+            n = int(collide[1])
+            t = [case.T * (k / case.N) ** case.r for k in (n - 1, n)]
+            _require(not t[1] > t[0], f"{case}: refused, but t_{n - 1}, t_{n} are {t}")
             return "refused", message
         if weight:
             k, n = int(weight[1]), int(weight[2])
@@ -128,7 +141,31 @@ def check(case: Case) -> tuple[str, object]:
     scale = np.max(np.abs(ref))
     err = np.max(np.abs(got - ref)) / scale
     _require(err <= TOL, f"{case}: off the oracle by {err:.3g} of the largest value {scale:.3g}")
+    _check_poisoned(case, p, mesh)
     return "agrees", err
+
+
+def _check_poisoned(case: Case, p, mesh) -> None:
+    """Solve ``case`` with its forcing, and closed form if any, NaN from
+    level ``case.poison`` on: the solve must name level max(poison, 1)."""
+    t_bad, named = mesh.t[case.poison], max(case.poison, 1)
+
+    def poisoned(fn):
+        return lambda x, t: fn(x, t) + np.where(t >= t_bad, np.nan, 0.0)
+
+    p = dataclasses.replace(p, f=poisoned(p.f))
+    if p.exact_f_conv is not None:
+        p = dataclasses.replace(p, exact_f_conv=poisoned(p.exact_f_conv))
+    try:
+        solve(p, SpatialGrid(case.M), mesh, case.scheme)
+    except ValueError as exc:
+        level = _LEVEL.search(str(exc))
+        _require(
+            level is not None and int(level[1]) == named,
+            f"{case}: forcing NaN from level {case.poison} refused as: {exc}",
+        )
+        return
+    _require(False, f"{case}: forcing NaN from level {case.poison} solved")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -390,6 +390,16 @@ class TestRun:
             "or the initial data is not finite, or too large, up to that time\n"
         )
 
+    def test_colliding_graded_levels_exit_one(self, capsys):
+        # (1/40)**19999 underflows: the mesh names the grading, not only
+        # levels that fail to increase.
+        rc = main(["run", "--mesh", "graded:19999", "--time-steps", "40", "--alpha", "0.0001"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "fracheat: error: grading r=19999.0 is too strong for N=40 steps: "
+            "t_1 = T*(1/40)**r rounds to t_0 = 0\n"
+        )
+
 
 # The one message of the grading-exponent check that ``meshes`` owns.
 _GRADING_MESSAGE = "grading exponent must be finite and satisfy r >= 1, got r="

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,13 @@ class TestGradedMesh:
     def test_final_level_hits_T_exactly(self):
         m = graded_time_mesh(2.0, 33, 2.5)
         assert m.t[-1] == 2.0
+
+    def test_rejects_a_grading_whose_levels_collide(self):
+        # (1/40)**19999 underflows, so t_1 rounds to t_0 = 0; TemporalMesh
+        # would say only that the levels do not increase.
+        message = "grading r=19999.0 is too strong for N=40 steps: t_1 = T*(1/40)**r rounds to t_0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            graded_time_mesh(1.0, 40, 19999.0)
 
     def test_rejects_compressing_exponent(self):
         with pytest.raises(ValueError):

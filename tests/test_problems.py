@@ -341,6 +341,18 @@ class TestProblemSpecValidation:
                 f=lambda x, t: self._zeros(x),
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_boundary_values_and_gaps(self, value):
+        # A comparison with NaN is False, so each check must hold, not fail.
+        with pytest.raises(ValueError, match="vanish"):
+            ProblemSpec(alpha=0.5, phi=lambda x: np.full(np.shape(x), value), f=lambda x, t: 0 * x)
+        with pytest.raises(ValueError, match="t=0"):
+            ProblemSpec(
+                alpha=0.5,
+                phi=self._zeros, f=lambda x, t: self._zeros(x),
+                exact_u=lambda x, t: np.where(np.asarray(x) == 0.5, value, 0.0),
+            )
+
     def test_rejects_inconsistent_exact_solution(self):
         with pytest.raises(ValueError, match="t=0"):
             ProblemSpec(

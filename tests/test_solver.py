@@ -10,7 +10,7 @@ import pytest
 import fracheat.cli
 import fracheat.solver
 from fracheat.harness import max_lattice_error
-from fracheat.meshes import SpatialGrid, graded_time_mesh, uniform_time_mesh
+from fracheat.meshes import SpatialGrid, TemporalMesh, graded_time_mesh, uniform_time_mesh
 from fracheat.operators import apply_compact, norm_energy
 from fracheat.problems import ProblemSpec, manufactured_sin, sine_decay, zero_problem
 from fracheat.quadrature import _exp_sum, weights_row
@@ -444,10 +444,9 @@ class TestBothSchemes:
             # Level 45 is inside the second leaf of the block [33, 65); on
             # a uniform mesh the block [1, 33) was solved by leaf inverse.
             (80, 45, None, None),
-            # The first and the last level of the block [33, 65): with
-            # quadrature forcing, the block's product over its own F rows
-            # splits at the first one that is not finite, here with no row
-            # before the split or with every row but the last.
+            # The first and the last level of the block [33, 65), whose
+            # forcing rows are checked together before the window product
+            # reads them: here every row is bad, or only the last one.
             (80, 33, None, None),
             (80, 64, None, None),
         ],
@@ -457,7 +456,8 @@ class TestBothSchemes:
     ):
         # Levels after the bad one are not finite either; a product that
         # carried any of them into an earlier level of its block, even with
-        # weight 0, would make that level the first bad one.  With the FFT
+        # weight 0, would make that level the first bad one, so the check
+        # of the block's forcing rows must come first.  With the FFT
         # forced, no leaf inverse fits either, so every leaf is one level.
         if window:
             _use_small_blocks(monkeypatch)
@@ -493,6 +493,52 @@ class TestBothSchemes:
         message = re.escape(f"level 1 (t = {mesh.t[1]:g}) is not finite: the forcing")
         with pytest.raises(ValueError, match=message):
             solve(p, SpatialGrid(8), mesh, scheme)
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_forcing_is_named_before_a_later_block_s_weights(self, scheme):
+        # 34 steps of 1e-300, then levels from 1e300: kernel weight a_1 of
+        # level 35 underflows, but f turns NaN at level 5, in the block
+        # [1, 33), whose forcing is checked before the block [33, 41)
+        # builds its weights.  Errors come in level order.  Without a
+        # closed form both schemes sample f.
+        mesh = TemporalMesh(
+            np.concatenate((np.arange(35) * 1e-300, np.linspace(1e300, 2e300, 6)))
+        )
+        p = dataclasses.replace(zero_problem(0.5), exact_f_conv=None)
+        with pytest.raises(ValueError, match=r"kernel weight a_1 of level 35 "):
+            solve(p, SpatialGrid(8), mesh, scheme)
+        t_bad = mesh.t[5]
+        p = dataclasses.replace(p, f=lambda x, t: np.full_like(x, np.nan if t >= t_bad else 0.0))
+        with pytest.raises(ValueError, match=r"^solution level 5 \(t = 5e-300\) is not finite"):
+            solve(p, SpatialGrid(8), mesh, scheme)
+
+    @pytest.mark.parametrize("M", [8, 256])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "scheme, closed_form",
+        [(SchemeKind.TRANSFORMED, True), (SchemeKind.L1, True), (SchemeKind.TRANSFORMED, False)],
+    )
+    def test_finite_forcing_whose_sums_overflow_is_named(self, scheme, closed_form, grading, M):
+        # manufactured_sin's forcing times 1e308 overflows from about
+        # t = 0.4 on, but its transform or the march overflows before
+        # that: the level named is still finite as sampled.
+        base = manufactured_sin(0.5)
+
+        def scaled(fn):
+            return lambda x, t: fn(x, t) * 1e308
+
+        # Construction samples the closed form at t = 1, where it overflows.
+        with np.errstate(over="ignore"):
+            p = dataclasses.replace(base, f=scaled(base.f), exact_f_conv=scaled(base.exact_f_conv))
+        if not closed_form:
+            p = dataclasses.replace(p, exact_f_conv=None)
+        grid, mesh = SpatialGrid(M), graded_time_mesh(1.0, 200, grading)
+        message = "is not finite: the forcing or the initial data is not finite, or too large"
+        with pytest.raises(ValueError, match=message) as raised:
+            solve(p, grid, mesh, scheme)
+        n = int(re.match(r"solution level (\d+) ", str(raised.value))[1])
+        sampled = p.exact_f_conv if closed_form and scheme is SchemeKind.TRANSFORMED else p.f
+        assert np.isfinite(sampled(grid.x, float(mesh.t[n]))).all()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("grading", [1.0, 2.0])
@@ -785,10 +831,10 @@ class TestInBlockPaths:
         assert np.isfinite(got.values).all()
 
     @pytest.mark.parametrize("scheme, closed_form", _FORCINGS)
-    def test_leaves_after_a_nan_are_one_level(self, monkeypatch, scheme, closed_form):
-        # The forcing turns NaN at level 45, in the block [33, 65): only
-        # the two leaves of the block [1, 33) take the inverse.  One-level
-        # leaves apply none, not even a 1 x 1 one.
+    def test_a_block_with_a_nan_raises_before_its_leaves(self, monkeypatch, scheme, closed_form):
+        # The forcing turns NaN at level 45, in the block [33, 65), which
+        # raises at its start, before any product: only the two leaves of
+        # the block [1, 33) take the inverse.
         mesh = uniform_time_mesh(1.0, 80)
         t_bad = mesh.t[45]
 
@@ -805,8 +851,7 @@ class TestInBlockPaths:
         # lambda = 1 / (Gamma(1.01) tau**0.99) is about 1.8e4, and about
         # 1.2e24 at T = 1e-20: there entry M's gain lambda * 2/3 over its
         # placeholder denominator 1 would overflow G from level 13 of a
-        # leaf on, and the NaN of 0 times that would leave every later
-        # block to one-level leaves.
+        # leaf on, and 0 times that is NaN (see ``_leaf_inverse``).
         for T in (1.0, 1e-20):
             leaves, levels = _by_leaves_and_by_levels(
                 monkeypatch, manufactured_sin(0.99), 8, uniform_time_mesh(T, 20_000), SchemeKind.L1
