@@ -164,8 +164,8 @@ def _check_poisoned(case: Case, p, mesh) -> None:
             level is not None and int(level[1]) == named,
             f"{case}: forcing NaN from level {case.poison} refused as: {exc}",
         )
-        return
-    _require(False, f"{case}: forcing NaN from level {case.poison} solved")
+    else:
+        raise AssertionError(f"{case}: forcing NaN from level {case.poison} solved")
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -345,7 +345,10 @@ class TestProblemSpecValidation:
     def test_rejects_non_finite_boundary_values_and_gaps(self, value):
         # A comparison with NaN is False, so each check must hold, not fail.
         with pytest.raises(ValueError, match="vanish"):
-            ProblemSpec(alpha=0.5, phi=lambda x: np.full(np.shape(x), value), f=lambda x, t: 0 * x)
+            ProblemSpec(
+                alpha=0.5,
+                phi=lambda x: np.full(np.shape(x), value), f=lambda x, t: self._zeros(x),
+            )
         with pytest.raises(ValueError, match="t=0"):
             ProblemSpec(
                 alpha=0.5,
