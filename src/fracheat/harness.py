@@ -47,18 +47,29 @@ _LEVEL_NORMS: dict[str, Callable[[np.ndarray, float], np.ndarray]] = {
 }
 
 
-def _worst_level(
+def _level_norm(norm: str) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The level norm named ``norm``, or ValueError naming the known ones."""
+    try:
+        return _LEVEL_NORMS[norm]
+    except KeyError:
+        raise ValueError(f"unknown norm {norm!r} (known: {', '.join(_LEVEL_NORMS)})") from None
+
+
+def lattice_error(
     lattice: SolutionLattice,
     exact: Callable[[np.ndarray, float], np.ndarray],
-    norm: str,
+    norm: str = "max",
 ) -> float:
-    """Largest ``norm`` of the lattice's difference from ``exact`` at a level.
+    """Error in the chosen norm, maximized over time levels.
 
-    ``exact`` is called once per level, and the differences of a block of
-    levels fill the rows of one reused buffer, which one call of the norm
-    scores row by row.  A non-finite error raises, naming the first level
-    that has one.
+    ``max`` is the pointwise lattice maximum, ``l2`` and ``a`` take the
+    discrete L2 and energy norms of each level's error and report the
+    largest one.  ``exact`` is called once per level, and the differences
+    of a block of levels fill the rows of one reused buffer, which one call
+    of the norm scores row by row.  A non-finite error raises ValueError,
+    naming the first level that has one.
     """
+    level_norm = _level_norm(norm)
     values, x, t = lattice.values, lattice.grid.x, lattice.mesh.t.tolist()
     rows = max(1, _SCORE_BYTES // values[0].nbytes)
     buf = np.empty((min(rows, len(t)), values.shape[1]))
@@ -68,7 +79,7 @@ def _worst_level(
         for k, row in enumerate(diff):
             row[:] = exact(x, t[start + k])
         np.subtract(values[start : start + len(diff)], diff, out=diff)
-        errs = _LEVEL_NORMS[norm](diff, lattice.grid.h)
+        errs = level_norm(diff, lattice.grid.h)
         bad = np.flatnonzero(~np.isfinite(errs))
         if bad.size:
             n = start + int(bad[0])
@@ -82,27 +93,9 @@ def _worst_level(
 def max_lattice_error(
     lattice: SolutionLattice, exact: Callable[[np.ndarray, float], np.ndarray]
 ) -> float:
-    """Largest pointwise error over every node of every level.
-
-    A non-finite error at any level raises ValueError.
-    """
-    return _worst_level(lattice, exact, "max")
-
-
-def lattice_error(
-    lattice: SolutionLattice,
-    exact: Callable[[np.ndarray, float], np.ndarray],
-    norm: str = "max",
-) -> float:
-    """Error in the chosen norm, maximized over time levels.
-
-    ``max`` is the pointwise lattice maximum, ``l2`` and ``a`` take the
-    discrete L2 and energy norms of each level's error and report the
-    largest one.  A non-finite error at any level raises ValueError.
-    """
-    if norm not in _LEVEL_NORMS:
-        raise ValueError(f"unknown norm {norm!r} (known: {', '.join(_LEVEL_NORMS)})")
-    return _worst_level(lattice, exact, norm)
+    """``lattice_error`` in the ``max`` norm: the largest pointwise error
+    over every node of every level."""
+    return lattice_error(lattice, exact)
 
 
 def parse_mesh_kind(mesh_kind: str) -> float:
@@ -146,8 +139,7 @@ class SweepConfig:
         if len(set(self.alphas)) != len(self.alphas):
             raise ValueError(f"repeated alpha in {self.alphas}")
         parse_mesh_kind(self.mesh_kind)  # fail fast on bad mesh strings
-        if self.norm not in _LEVEL_NORMS:
-            raise ValueError(f"unknown norm {self.norm!r}")
+        _level_norm(self.norm)
 
 
 @dataclass(frozen=True)

@@ -82,28 +82,14 @@ class TemporalMesh:
         return np.diff(self.t)
 
 
-def _unit_levels(T: float, N: int) -> np.ndarray:
-    """Levels n/N, n = 0..N, of a mesh on [0, T], after checking T and N.
-
-    N must be an integer: a fractional one would give int(N) + 1 steps of
-    1/N and move the last level past T.
-    """
-    if not 0.0 < T < np.inf:
-        raise ValueError(f"final time must be positive and finite, got T={T}")
-    N = _count("N", N)
-    if N < 1:
-        raise ValueError(f"need at least one step, got N={N}")
-    return np.arange(N + 1, dtype=float) / N
-
-
 def uniform_time_mesh(T: float, N: int) -> TemporalMesh:
-    """Uniform mesh t_n = T*n/N.
+    """Uniform mesh t_n = T*n/N, the graded mesh of exponent r = 1.
 
     The levels are computed as T*(n/N) rather than by accumulating a step
     size, so t_N equals T exactly and refining N keeps shared levels
     bit-identical.
     """
-    return TemporalMesh(t=T * _unit_levels(T, N))
+    return graded_time_mesh(T, N, 1.0)
 
 
 def _check_grading(r: float) -> None:
@@ -114,19 +100,25 @@ def _check_grading(r: float) -> None:
 def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
     """Graded mesh t_n = T*(n/N)**r clustering levels near t = 0.
 
-    r = 1 delegates to ``uniform_time_mesh`` so the two constructions agree
-    bit for bit.  r > 1 compresses early steps to compensate the kernel
-    singularity; r < 1 is rejected because it would do the opposite, and
-    so is an r that rounds a level to the one before it.
+    r > 1 compresses early steps to compensate the kernel singularity; r < 1
+    is rejected because it would do the opposite.  r = 1 is the uniform
+    mesh: x**1.0 is exact, so its levels are T*(n/N).  N must be an integer:
+    a fractional one would give int(N) + 1 steps of 1/N and move the last
+    level past T.  A level that rounds to the one before it is rejected
+    with a message naming T or r, N and the level.
     """
     _check_grading(r)
-    if r == 1.0:
-        return uniform_time_mesh(T, N)
-    t = T * _unit_levels(T, N) ** r
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"final time must be positive and finite, got T={T}")
+    N = _count("N", N)
+    if N < 1:
+        raise ValueError(f"need at least one step, got N={N}")
+    t = T * (np.arange(N + 1, dtype=float) / N) ** r
     n = int(np.argmin(np.diff(t) > 0.0)) + 1
     if not t[n] > t[n - 1]:
-        raise ValueError(
-            f"grading r={r} is too strong for N={N} steps: t_{n} = T*({n}/{N})**r "
-            f"rounds to t_{n - 1} = {t[n - 1]:g}"
-        )
+        if r == 1.0:
+            cause = f"final time T={T:g} is too small for N={N} steps: t_{n} = T*({n}/{N})"
+        else:
+            cause = f"grading r={r} is too strong for N={N} steps: t_{n} = T*({n}/{N})**r"
+        raise ValueError(f"{cause} rounds to t_{n - 1} = {t[n - 1]:g}")
     return TemporalMesh(t=t)

@@ -35,31 +35,28 @@ __all__ = [
 SpaceTimeFn = Callable[[np.ndarray, float], np.ndarray]
 
 
-# sin(pi x) of the 8 grids used last, most recent first, shared read-only.
-# An entry matches the shape and the bytes of x: its values, not the array,
-# whose owner may change it in place.  The bytes are compared, never hashed,
-# so a hit costs one copy and one comparison of M + 1 doubles.  The most
-# recent entry, which a solve's per-level calls hit, is tried first.
-_PROFILES: list[tuple[tuple[int, ...], bytes, np.ndarray]] = []
+# sin(pi x) of the grid used last, shared read-only, as (shape, bytes of x,
+# profile), or None.  It matches the shape and the bytes of x: its values,
+# not the array, whose owner may change it in place.  The bytes are
+# compared, never hashed, so a hit costs one copy and one comparison of
+# M + 1 doubles.  One entry is enough: a solve and its scoring use one grid,
+# and the five nodes that ProblemSpec checks cost one more sine per problem.
+# The entry is read once, so a call that replaces it meanwhile cannot hand
+# back the profile of another grid.
+_PROFILE: Optional[tuple[tuple[int, ...], bytes, np.ndarray]] = None
 
 
 def _sin_pi(x: np.ndarray) -> np.ndarray:
+    global _PROFILE
     x = np.asarray(x, dtype=float)
     key = x.tobytes()
-    if _PROFILES:
-        shape, data, profile = _PROFILES[0]
-        if data == key and shape == x.shape:
-            return profile
-    for i, entry in enumerate(_PROFILES[1:], 1):
-        if entry[0] == x.shape and entry[1] == key:
-            _PROFILES.insert(0, _PROFILES.pop(i))
-            return entry[2]
-    # The sine of a 1-d copy, reshaped: np.sin of a 0-d array is a scalar.
-    profile = np.sin(np.pi * np.frombuffer(key)).reshape(x.shape)
-    profile.flags.writeable = False
-    _PROFILES.insert(0, (x.shape, key, profile))
-    del _PROFILES[8:]
-    return profile
+    entry = _PROFILE
+    if entry is None or entry[1] != key or entry[0] != x.shape:
+        # The sine of a 1-d copy, reshaped: np.sin of a 0-d array is a scalar.
+        profile = np.sin(np.pi * np.frombuffer(key)).reshape(x.shape)
+        profile.flags.writeable = False
+        entry = _PROFILE = (x.shape, key, profile)
+    return entry[2]
 
 
 def _zeros(x: np.ndarray, t: float = 0.0) -> np.ndarray:
@@ -83,8 +80,8 @@ class ProblemSpec:
     that shape, not the values, with five nodes and a column of two times.
 
     The built-in problems compute sin(pi x) once per grid, not per call,
-    and keep it for the 8 grids used last, found by comparing the bytes of
-    x; each call still returns a fresh array, under the same protocol.
+    and keep it for the grid used last, found by comparing the bytes of x;
+    each call still returns a fresh array, under the same protocol.
     """
 
     alpha: float

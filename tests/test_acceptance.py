@@ -24,7 +24,7 @@ from fracheat.operators import (
 )
 from fracheat.problems import manufactured_sin, sine_decay
 from fracheat.quadrature import midpoint_convolution, weights_row
-from fracheat.solver import SchemeKind, solve
+from fracheat.solver import SchemeKind, _denominators, _sine, solve
 from oracles import dense_tridiagonal, fractional_integral_monomial
 
 # Golden reference table: E1 and rate per (alpha, N), M = 100, T = 1,
@@ -308,12 +308,32 @@ def test_criterion_7_operator_identities():
         scale = float(np.max(np.abs(ref))) or 1.0
         tri_ok = tri_ok and float(np.max(np.abs(got - ref))) <= 1e-11 * scale
 
-    ok = sbp_ok and poincare_ok and tri_ok
+    # The level solve that ``solve`` runs: the sine transform of the
+    # right-hand side over the eigenvalues of p H - r D2, transformed back,
+    # against a dense solve of those interior rows, on both transform paths
+    # (one matrix product for M <= 255, an FFT above).
+    level_ok = True
+    for trial in range(20):
+        M = int(rng.integers(3, 256) if trial % 2 else rng.integers(256, 600))
+        h = 1.0 / M
+        p = 10.0 ** rng.uniform(-3.0, 3.0)
+        r = 0.0 if trial % 5 == 0 else 10.0 ** rng.uniform(-6.0, 3.0)
+        s = np.sin(0.5 * np.pi * h * np.arange(M + 1)) ** 2
+        rhs = rng.standard_normal(M + 1)
+        got = _sine(_sine(rhs) / _denominators(p, r, h, s)) * (2.0 / M)
+        units = np.eye(M + 1)[1:-1]
+        dense = (p * apply_compact(units) - r * apply_second_diff(units, h))[:, 1:-1].T
+        ref = np.linalg.solve(dense, rhs[1:-1])
+        scale = float(np.max(np.abs(ref)))
+        level_ok = level_ok and float(np.max(np.abs(got[1:-1] - ref))) <= 1e-11 * scale
+
+    ok = sbp_ok and poincare_ok and tri_ok and level_ok
     _verdict(
         7,
         "operator identities",
         ok,
-        f"summation-by-parts {sbp_ok}, Poincare {poincare_ok}, tridiagonal {tri_ok}",
+        f"summation-by-parts {sbp_ok}, Poincare {poincare_ok}, tridiagonal {tri_ok}, "
+        f"level solve {level_ok}",
     )
 
 

@@ -400,6 +400,17 @@ class TestRun:
             "t_1 = T*(1/40)**r rounds to t_0 = 0\n"
         )
 
+    def test_colliding_uniform_levels_exit_one(self, capsys):
+        # T*(1/200) underflows: the mesh names the final time, not only
+        # levels that fail to increase.
+        argv = ["run", "--alpha", "0.5", "--time-steps", "200", "--final-time", "5e-324",
+                "--spatial-cells", "4"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "fracheat: error: final time T=4.94066e-324 is too small for N=200 steps: "
+            "t_1 = T*(1/200) rounds to t_0 = 0\n"
+        )
+
 
 # The one message of the grading-exponent check that ``meshes`` owns.
 _GRADING_MESSAGE = "grading exponent must be finite and satisfy r >= 1, got r="

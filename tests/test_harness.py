@@ -77,6 +77,15 @@ class TestLatticeError:
         with pytest.raises(ValueError, match="norm"):
             lattice_error(lattice, p.exact_u, "h1")
 
+    def test_one_unknown_norm_message_for_the_scorer_and_the_config(self):
+        p = manufactured_sin(0.5)
+        lattice = solve(p, SpatialGrid(8), uniform_time_mesh(1.0, 4))
+        message = "unknown norm 'x' (known: max, a, l2)"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            lattice_error(lattice, p.exact_u, "x")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            SweepConfig(alphas=(0.5,), M=8, Ns=(4,), norm="x")
+
     def test_max_error_rejects_nan_level(self):
         # max(0.0, nan) is 0.0, so a NaN level must not fold into the maximum.
         p = manufactured_sin(0.5)

@@ -63,6 +63,16 @@ class TestUniformMesh:
         with pytest.raises(ValueError):
             uniform_time_mesh(T, N)
 
+    def test_rejects_a_final_time_whose_levels_collide(self):
+        # T*(1/200) underflows to 0, so t_1 rounds to t_0; TemporalMesh
+        # would say only that the levels do not increase.
+        message = (
+            "final time T=4.94066e-324 is too small for N=200 steps: "
+            "t_1 = T*(1/200) rounds to t_0 = 0"
+        )
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            uniform_time_mesh(5e-324, 200)
+
     @pytest.mark.parametrize("T", [float("nan"), float("inf")])
     def test_rejects_non_finite_final_time(self, T):
         with pytest.raises(ValueError, match="final time"):
@@ -87,11 +97,13 @@ class TestGradedMesh:
         m = graded_time_mesh(1.0, 4, 3.0)
         np.testing.assert_array_equal(m.t, [0.0, 1.0 / 64.0, 0.125, 27.0 / 64.0, 1.0])
 
-    def test_exponent_one_matches_uniform_bit_for_bit(self):
-        for T, N in ((1.0, 7), (0.3, 40)):
-            np.testing.assert_array_equal(
-                graded_time_mesh(T, N, 1.0).t, uniform_time_mesh(T, N).t
-            )
+    @pytest.mark.parametrize("T", [1e-8, 0.2, 0.3, 1.0, 1e6])
+    @pytest.mark.parametrize("N", [1, 7, 40, 99, 160, 161, 640, 1000, 2048])
+    def test_exponent_one_matches_uniform_bit_for_bit(self, T, N):
+        # x**1.0 is exact, so the power form gives the levels T*(n/N).
+        want = T * (np.arange(N + 1, dtype=float) / N)
+        for mesh in (graded_time_mesh(T, N, 1.0), uniform_time_mesh(T, N)):
+            assert mesh.t.tobytes() == want.tobytes()
 
     def test_steps_nondecreasing(self):
         m = graded_time_mesh(1.0, 50, 2.0)

@@ -243,7 +243,7 @@ class TestSpatialProfileCache:
         p = get_problem(label, 0.5)
         if not closed_form:
             p = dataclasses.replace(p, exact_f_conv=None)
-        fracheat.problems._PROFILES.clear()
+        monkeypatch.setattr(fracheat.problems, "_PROFILE", None)
         sin, profiles = np.sin, []
 
         def counted(v, *args, **kwargs):
@@ -258,7 +258,7 @@ class TestSpatialProfileCache:
     @staticmethod
     def _count_sines(monkeypatch):
         """An empty profile cache, and a list that gets one entry per np.sin call."""
-        monkeypatch.setattr(fracheat.problems, "_PROFILES", [])
+        monkeypatch.setattr(fracheat.problems, "_PROFILE", None)
         sin, calls = np.sin, []
 
         def counted(v, *args, **kwargs):
@@ -287,7 +287,7 @@ class TestSpatialProfileCache:
         assert p.exact_u(flat, 1.0).shape == (8,)
         assert _same_bits(p.exact_u(square, 1.0), want)
         assert p.exact_u(flat, 1.0).shape == (8,)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_a_grid_one_ulp_away_gets_its_own_profile(self, monkeypatch):
         p = manufactured_sin(0.5)
@@ -301,23 +301,18 @@ class TestSpatialProfileCache:
         assert first[-1] != second[-1]
         assert _same_bits(second, want)
 
-    def test_the_cache_keeps_the_8_grids_used_last(self, monkeypatch):
+    def test_the_cache_keeps_the_grid_used_last(self, monkeypatch):
         p = manufactured_sin(0.5)
-        grids = [np.linspace(0.0, 1.0, M + 1) for M in range(2, 11)]
+        a, b = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 11)
+        want = np.sin(np.pi * a)
         calls = self._count_sines(monkeypatch)
-        for x in grids:
+        counts = []
+        for x in (a, a, b, a):
             p.exact_u(x, 1.0)
-        assert len(calls) == 9 and len(fracheat.problems._PROFILES) == 8
-        # grids[1] is found and becomes the most recent, so grids[2] is now
-        # the least recent, and grids[0], gone, is evaluated again.
-        p.exact_u(grids[1], 1.0)
-        assert len(calls) == 9
-        p.exact_u(grids[0], 1.0)
-        assert len(calls) == 10 and len(fracheat.problems._PROFILES) == 8
-        p.exact_u(grids[1], 1.0)
-        assert len(calls) == 10
-        p.exact_u(grids[2], 1.0)
-        assert len(calls) == 11
+            counts.append(len(calls))
+        # a is found again at once, but not after b has replaced it.
+        assert counts == [1, 1, 2, 3]
+        assert _same_bits(p.exact_u(a, 1.0), want) and len(calls) == 3
 
 
 class TestProblemSpecValidation:
