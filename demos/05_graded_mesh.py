@@ -7,9 +7,10 @@ clustering points near t = 0 with t_n = T (n/N)**r spends the same number
 of steps where the solution actually moves.  Both schemes run on every
 mesh, so the L1 baseline is compared where the layer is resolved too.
 
-The exact solution is sin(pi x) multiplied by a one-parameter relaxation
-function computed from its power series, so the error below is measured
-against an independent reference, not against a finer run.
+The exact solution is sin(pi x) multiplied by the Mittag-Leffler function
+E_alpha(-pi**2 t**alpha), computed from a bounded integral, so the error
+below is measured against an independent reference, not against a finer
+run.
 """
 
 import numpy as np

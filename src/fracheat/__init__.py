@@ -28,7 +28,7 @@ from .problems import (
 )
 from .quadrature import weights_row
 from .solver import SchemeKind, SolutionLattice, solve
-from .special import SeriesConvergenceError, mittag_leffler
+from .special import mittag_leffler
 
 __all__ = [
     "ConvergenceReport",
@@ -56,7 +56,6 @@ __all__ = [
     "SchemeKind",
     "SolutionLattice",
     "solve",
-    "SeriesConvergenceError",
     "mittag_leffler",
 ]
 

@@ -97,6 +97,12 @@ def _check_grading(r: float) -> None:
         raise ValueError(f"grading exponent must be finite and satisfy r >= 1, got r={r}")
 
 
+def _first_collision(t: np.ndarray) -> int:
+    """The first n with t_n <= t_{n-1}, or 0 if the levels increase."""
+    n = int(np.argmin(np.diff(t) > 0.0)) + 1
+    return 0 if t[n] > t[n - 1] else n
+
+
 def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
     """Graded mesh t_n = T*(n/N)**r clustering levels near t = 0.
 
@@ -105,7 +111,8 @@ def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
     mesh: x**1.0 is exact, so its levels are T*(n/N).  N must be an integer:
     a fractional one would give int(N) + 1 steps of 1/N and move the last
     level past T.  A level that rounds to the one before it is rejected
-    with a message naming T or r, N and the level.
+    with a message naming N, the level and its cause: T when the uniform
+    levels T*(n/N) collide too, else r.
     """
     _check_grading(r)
     if not 0.0 < T < np.inf:
@@ -113,12 +120,21 @@ def graded_time_mesh(T: float, N: int, r: float) -> TemporalMesh:
     N = _count("N", N)
     if N < 1:
         raise ValueError(f"need at least one step, got N={N}")
-    t = T * (np.arange(N + 1, dtype=float) / N) ** r
-    n = int(np.argmin(np.diff(t) > 0.0)) + 1
-    if not t[n] > t[n - 1]:
-        if r == 1.0:
-            cause = f"final time T={T:g} is too small for N={N} steps: t_{n} = T*({n}/{N})"
-        else:
-            cause = f"grading r={r} is too strong for N={N} steps: t_{n} = T*({n}/{N})**r"
-        raise ValueError(f"{cause} rounds to t_{n - 1} = {t[n - 1]:g}")
+    frac = np.arange(N + 1, dtype=float) / N
+    t = T * frac**r
+    n = _first_collision(t)
+    if n:
+        # A uniform mesh that collides too is the final time's fault.
+        uniform = T * frac
+        m = _first_collision(uniform)
+        if m:
+            tail = "" if r == 1.0 else " even on the uniform mesh"
+            raise ValueError(
+                f"final time T={T:g} is too small for N={N} steps: t_{m} = T*({m}/{N}) "
+                f"rounds to t_{m - 1} = {uniform[m - 1]:g}{tail}"
+            )
+        raise ValueError(
+            f"grading r={r} is too strong for N={N} steps: t_{n} = T*({n}/{N})**r "
+            f"rounds to t_{n - 1} = {t[n - 1]:g}"
+        )
     return TemporalMesh(t=t)

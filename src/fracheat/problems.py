@@ -159,8 +159,9 @@ def zero_problem(alpha: float) -> ProblemSpec:
 def sine_decay(alpha: float) -> ProblemSpec:
     """Unforced decay of the first sine mode, phi = sin(pi x), f = 0.
 
-    The exact solution is E_alpha(-pi**2 t**alpha) sin(pi x); evaluating
-    it at large pi**2 t**alpha raises, see ``special.mittag_leffler``.
+    The exact solution is E_alpha(-pi**2 t**alpha) sin(pi x), its
+    Mittag-Leffler factor a bounded integral for every finite t >= 0, see
+    ``special.mittag_leffler``.
     """
 
     def phi(x: np.ndarray) -> np.ndarray:

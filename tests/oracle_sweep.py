@@ -45,7 +45,11 @@ PROBLEMS = ("manufactured-sin", "manufactured-sin-quadrature", "sine-decay")
 
 _WEIGHT = re.compile(r"kernel weight a_(\d+) of level (\d+) is not positive and finite")
 _LEVEL = re.compile(r"solution level (\d+) \(t = .*\) is not finite")
-_MESH = re.compile(r"grading r=\S+ is too strong for N=\d+ steps: t_(\d+) = ")
+# Either cause of colliding levels: the grading, or a final time too small
+# for the uniform levels T*(n/N) as well (group 1 is then "T").
+_MESH = re.compile(
+    r"(?:grading r=\S+ is too strong|final time (T)=\S+ is too small) for N=\d+ steps: t_(\d+) = "
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,8 +124,8 @@ def check(case: Case) -> tuple[str, object]:
         message = str(exc)
         weight, level, collide = (cause.search(message) for cause in (_WEIGHT, _LEVEL, _MESH))
         if collide:
-            n = int(collide[1])
-            t = [case.T * (k / case.N) ** case.r for k in (n - 1, n)]
+            n, power = int(collide[2]), 1.0 if collide[1] else case.r
+            t = [case.T * (k / case.N) ** power for k in (n - 1, n)]
             _require(not t[1] > t[0], f"{case}: refused, but t_{n - 1}, t_{n} are {t}")
             return "refused", message
         if weight:

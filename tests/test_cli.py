@@ -105,26 +105,55 @@ class TestConverge:
         assert rows[0][6] == "" and all(1.4 < rate < 1.5 for rate in rates)
 
     def test_runtime_failure_exits_one(self, capsys):
-        # sine-decay at T = 1 needs series arguments the reference
-        # evaluator cannot sum for small alpha, so error measurement fails
+        # u = sin(pi x) t**2 overflows at t = 5e299, and the solve says so
         rc = main([
             "converge", "--alpha", "0.25", "--spatial-cells", "4",
-            "--time-steps", "2", "--problem", "sine-decay",
+            "--time-steps", "2", "--final-time", "1e300",
         ])
         assert rc == 1
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fracheat: error: solution level 1 (t = 5e+299)")
+        assert captured.out == ""
 
-    def test_cancelled_reference_exits_one(self, capsys):
-        # E_0.5(-pi**2) at t = 1: the series cancels some 40 digits, and the
-        # report used to print E1 = 9.13974e+27 with exit status 0
+    def test_graded_mesh_names_a_final_time_too_small(self, capsys):
+        # T*(1/200) underflows to 0 already, so the grading is not the cause
+        rc = main([
+            "converge", "--alpha", "0.5", "--spatial-cells", "4",
+            "--time-steps", "200", "--final-time", "5e-324", "--mesh", "graded:1.5",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "fracheat: error: final time T=4.94066e-324 is too small for N=200 steps: "
+            "t_1 = T*(1/200) rounds to t_0 = 0 even on the uniform mesh\n"
+        )
+
+    def test_sine_decay_at_the_default_final_time(self, capsys):
+        # E_0.5(-pi**2) at t = 1, where the Taylor series cancels some 40
+        # digits
         rc = main([
             "converge", "--problem", "sine-decay", "--alpha", "0.5",
             "--spatial-cells", "20", "--time-steps", "10:40:x2",
         ])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("fracheat: error:")
-        assert captured.out == ""
+        assert rc == 0
+        rows = [line.split(",") for line in _lines(capsys)[1:]]
+        assert [row[5] for row in rows] == ["4.48232e-01", "3.44137e-01", "2.48367e-01"]
+
+    def test_sine_decay_rates_on_a_graded_mesh(self, capsys):
+        # the rates that r = 3 gives from N = 80 to 640
+        rc = main([
+            "converge", "--problem", "sine-decay", "--alpha", "0.25,0.5,0.75",
+            "--mesh", "graded:3", "--spatial-cells", "100", "--time-steps", "40:640:x2",
+        ])
+        assert rc == 0
+        rows = [line.split(",") for line in _lines(capsys)[1:]]
+        rates = {
+            alpha: [float(row[6]) for row in rows if row[0] == alpha and row[6]]
+            for alpha in ("0.25", "0.5", "0.75")
+        }
+        assert all(len(r) == 4 for r in rates.values())
+        assert all(1.11 <= r <= 1.40 for r in rates["0.25"])
+        assert all(1.51 <= r <= 1.54 for r in rates["0.5"])
+        assert all(1.75 <= r <= 1.79 for r in rates["0.75"])
 
 
 class TestConvergeOutputFile:

@@ -122,6 +122,15 @@ class TestGradedMesh:
         with pytest.raises(ValueError, match=re.escape(message)):
             graded_time_mesh(1.0, 40, 19999.0)
 
+    def test_names_the_final_time_when_uniform_levels_collide_too(self):
+        # T*(1/200) underflows already, so the grading is not the cause.
+        message = (
+            "final time T=4.94066e-324 is too small for N=200 steps: "
+            "t_1 = T*(1/200) rounds to t_0 = 0 even on the uniform mesh"
+        )
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            graded_time_mesh(5e-324, 200, 1.5)
+
     def test_rejects_compressing_exponent(self):
         with pytest.raises(ValueError):
             graded_time_mesh(1.0, 4, 0.5)

@@ -16,8 +16,8 @@ from fracheat.problems import (
     zero_problem,
 )
 from fracheat.solver import SchemeKind, solve
-from fracheat.special import SeriesConvergenceError, mittag_leffler
-from oracles import fractional_integral_monomial, fractional_integral_quad
+from fracheat.special import mittag_leffler
+from oracles import fractional_integral_monomial, fractional_integral_quad, mittag_leffler_quad
 
 ALPHAS = (0.25, 0.5, 0.75)
 
@@ -106,10 +106,12 @@ class TestSineDecay:
         got = float(p.exact_u(np.array([0.5]), 0.01)[0])
         assert got == pytest.approx(0.43117256514905254, rel=1e-12)
 
-    def test_argument_envelope_enforced(self):
+    def test_late_value_where_the_series_cancelled(self):
+        # E_0.9(-pi**2 10**0.9): in doubles its Taylor series summed to 1e41
         p = sine_decay(0.9)
-        with pytest.raises(SeriesConvergenceError):
-            p.exact_u(np.array([0.5]), 10.0)
+        got = float(p.exact_u(np.array([0.5]), 10.0)[0])
+        want = mittag_leffler_quad(0.9, np.pi**2 * 10.0**0.9)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
     def test_rejects_bad_time(self, t):

@@ -35,13 +35,12 @@ EXPECTED = {
     "SolutionLattice",
     "solve",
     # special
-    "SeriesConvergenceError",
     "mittag_leffler",
 }
 
 
 def test_all_is_the_expected_surface():
-    assert len(fracheat.__all__) == len(set(fracheat.__all__)) == 27
+    assert len(fracheat.__all__) == len(set(fracheat.__all__)) == 26
     assert set(fracheat.__all__) == EXPECTED
 
 
